@@ -100,7 +100,7 @@ status options:
   --shards N                   additionally break the report down by
                                the N-way shard partition cells were
                                (or will be) run under
-  --cache                      also print the workload/compile/trace
+  --cache                      also print the workload/compile
                                cache counters each 'run' invocation
                                recorded in the run directory
   exit status: 0 when every cell is checkpointed, 3 when cells are
@@ -115,7 +115,7 @@ serve options (protocol: DESIGN.md §13):
                                (0 = SIQSIM_SERVE_JOBS / cores)
   requests:  {"id":"r1","spec":{...}}   {"cancel":"r1"}
   responses: accepted / cell / done / error records, one per line;
-  workload, compiled-program and trace caches are shared across
+  workload and compiled-program caches are shared across
   requests, and identical in-flight cells from concurrent clients
   are simulated once. Env: SIQSIM_SERVE_QUEUE (per-client record
   queue, default 256), SIQSIM_SERVE_RESULT_CACHE (completed-cell
@@ -257,12 +257,7 @@ cacheSummary(const sim::SweepCacheStats &c)
     os << "workloads " << c.workloadHits << "/"
        << c.workloadBuilds + c.workloadHits << " hits, compile "
        << c.compileHits << "/" << c.compileBuilds + c.compileHits
-       << " hits, traces " << c.traceHits << "/"
-       << c.traceBuilds + c.traceHits << " hits";
-    if (c.traceBuilds + c.traceHits > 0) {
-        os << " (" << (c.traceBytes >> 20) << " MiB resident, "
-           << c.traceEvicted << " evicted)";
-    }
+       << " hits";
     return os.str();
 }
 

@@ -64,20 +64,11 @@ CompletionWheel::nextDue(std::uint64_t now) const
 }
 
 Core::Core(const Program &prog_, const CoreConfig &config,
-           IqLimitController *controller, FuncTrace *trace)
-    : prog(prog_), cfg(config), ctrl(controller), replay(trace),
+           IqLimitController *controller)
+    : prog(prog_), cfg(config), ctrl(controller), _exec(prog_),
       mem(config.mem), _bpred(config.bpred), iq(config.iq),
       lsq(config.lsq), intRegs(config.intRegs), fpRegs(config.fpRegs)
 {
-    if (replay != nullptr) {
-        // replaying a trace of a different program would silently
-        // simulate the wrong instruction stream
-        SIQ_ASSERT(replay->program().contentHash == prog_.contentHash,
-                   "trace/program content mismatch");
-        replayCur = TraceCursor(replay);
-    } else {
-        _exec.emplace(prog_);
-    }
     SIQ_ASSERT(cfg.robSize > 0, "empty ROB");
     SIQ_ASSERT(cfg.fetchQueueSize > 0, "empty fetch queue");
     SIQ_ASSERT(cfg.intRegs.numPhys <= regHandleStride &&
@@ -152,8 +143,7 @@ Core::sourceHandle(int archReg, bool &ready) const
 }
 
 void
-Core::predictControl(DynInst &di, std::uint64_t actualNext,
-                     std::uint64_t rasPush)
+Core::predictControl(DynInst &di, std::uint64_t actualNext)
 {
     const StaticInst &si = *di.si;
     const auto &t = si.traits();
@@ -203,8 +193,13 @@ Core::predictControl(DynInst &di, std::uint64_t actualNext,
         if (btbTarget != actualNext)
             frontRedirect = true;
         _bpred.btbUpdate(pc, actualNext);
-        if (si.op == Opcode::Call)
-            _bpred.rasPush(rasPush);
+        if (si.op == Opcode::Call) {
+            // the return site: the call block's fallthrough, resolved
+            // through empty blocks like the interpreter resolves it
+            _bpred.rasPush(blockStartPc(
+                prog, sr.proc,
+                prog.procs[sr.proc].blocks[sr.block].fallthrough));
+        }
     } else if (si.op == Opcode::Ret) {
         const std::uint64_t predicted = _bpred.rasPop();
         if (predicted != actualNext && !sr.halted) {
@@ -530,17 +525,10 @@ Core::fetchStage()
         return;
     int fetched = 0;
     while (fetched < cfg.fetchWidth &&
-           fqCount < cfg.fetchQueueSize && !streamHalted()) {
+           fqCount < cfg.fetchQueueSize && !_exec.halted()) {
         // the next instruction's PC, without consuming it: the icache
         // check below may end the fetch group before it is fetched
-        const TraceRecord *rec = nullptr;
-        std::uint64_t pc;
-        if (replay != nullptr) {
-            rec = &replayCur.at(replayIdx);
-            pc = rec->si->pc;
-        } else {
-            pc = _exec->peek().pc;
-        }
+        const std::uint64_t pc = _exec.peek().pc;
         const std::uint64_t line = pc / cfg.mem.l1i.lineBytes;
         if (line != lastFetchLine) {
             const int latency = mem.instAccess(pc);
@@ -560,27 +548,11 @@ Core::fetchStage()
         di.hintApplied = false;
         di.stallsFetch = false;
         di.wrongPath = false;
-        std::uint64_t actualNext;
-        std::uint64_t rasPush = 0;
-        if (replay != nullptr) {
-            replayIdx++;
-            di.step = StepResult{};
-            di.step.inst = rec->si;
-            di.step.taken = (rec->flags & traceFlagTaken) != 0;
-            di.step.halted = (rec->flags & traceFlagHalted) != 0;
-            const auto &rt = rec->si->traits();
-            if (rt.isLoad || rt.isStore)
-                di.step.memAddr = rec->aux;
-            else if (rec->si->op == Opcode::Call)
-                rasPush = rec->aux;
-            actualNext = rec->nextPc;
-            replayHalted = di.step.halted;
-        } else {
-            di.step = _exec->step();
-            const CtrlTargets ct = ctrlTargets(prog, di.step);
-            actualNext = ct.actualNextPc;
-            rasPush = ct.rasPushPc;
-        }
+        di.step = _exec.step();
+        // the resolved next PC is the interpreter's new position (0
+        // once the program ended)
+        const std::uint64_t actualNext =
+            di.step.halted ? 0 : _exec.peek().pc;
         di.si = di.step.inst;
         di.seq = seqCounter++;
         di.pc = di.si->pc;
@@ -588,7 +560,7 @@ Core::fetchStage()
             now + static_cast<std::uint64_t>(cfg.decodeDepth);
 
         const std::uint64_t resumeBefore = fetchResumeCycle;
-        predictControl(di, actualNext, rasPush);
+        predictControl(di, actualNext);
         const bool redirected = fetchResumeCycle != resumeBefore;
         const bool taken =
             di.step.taken || di.si->traits().isJump;
@@ -598,7 +570,7 @@ Core::fetchStage()
         _stats.fetched++;
         fetched++;
 
-        if (streamHalted())
+        if (_exec.halted())
             fetchDone = true;
         if (di.stallsFetch) {
             fetchBlocked = true;
@@ -993,7 +965,7 @@ Core::maybeFastForward()
     // fetch: blocked states clear via completion events (bounded
     // above) or via the resume/icache timers
     if (!fetchDone && !fetchBlocked && fqCount < cfg.fetchQueueSize &&
-        !streamHalted()) {
+        !_exec.halted()) {
         const std::uint64_t resume =
             std::max(fetchResumeCycle, icacheReadyCycle);
         if (resume <= now)

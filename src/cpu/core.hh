@@ -18,8 +18,7 @@
  * fetch/IQ/ROB/LSQ slots, issue and pollute the caches; when the
  * mispredicted branch completes, everything younger is squashed and
  * the checkpointed rename maps, free lists and predictor history are
- * restored. The correct-path instruction stream (interpreter or
- * trace cursor) is never advanced by wrong-path fetch, so
+ * restored. The interpreter is never advanced by wrong-path fetch, so
  * architectural results are unchanged — only timing and power see
  * the speculation.
  *
@@ -43,7 +42,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -52,7 +50,6 @@
 #include "cpu/lsq.hh"
 #include "cpu/regfile.hh"
 #include "cpu/resize.hh"
-#include "cpu/trace.hh"
 #include "ir/exec.hh"
 #include "ir/program.hh"
 #include "mem/cache.hh"
@@ -319,20 +316,13 @@ class Core
      * @param controller optional hardware resize heuristic (owned by
      *        the caller; pass nullptr for the baseline and the
      *        compiler-hint configurations)
-     * @param trace optional functional trace of an identical program
-     *        (equal contentHash). When given, the fetch stage replays
-     *        trace records instead of stepping the interpreter — no
-     *        functional register file or memory image is built, every
-     *        architectural counter stays byte-identical, and exec()
-     *        must not be called. The trace must outlive the core.
      */
     Core(const Program &prog, const CoreConfig &config,
-         IqLimitController *controller = nullptr,
-         FuncTrace *trace = nullptr);
+         IqLimitController *controller = nullptr);
 
     /** The core keeps a reference: the program must outlive it. */
     Core(Program &&, const CoreConfig &,
-         IqLimitController * = nullptr, FuncTrace * = nullptr) = delete;
+         IqLimitController * = nullptr) = delete;
 
     /**
      * Run until the program halts or @p maxInsts more instructions
@@ -355,9 +345,8 @@ class Core
     const RegFile &fpRegFile() const { return fpRegs; }
     MemHierarchy &memory() { return mem; }
     Bpred &bpred() { return _bpred; }
-    /** The interpreter's architectural state. Interpreting cores
-     *  only — a replaying core has none. */
-    const ExecContext &exec() const { return *_exec; }
+    /** The interpreter's architectural state. */
+    const ExecContext &exec() const { return _exec; }
     std::uint64_t cycle() const { return now; }
 
     /// @name Occupancy accessors (squash-recovery invariant tests).
@@ -399,16 +388,10 @@ class Core
      */
     void maybeFastForward();
 
-    /** The functional stream is exhausted (interpreter halted, or the
-     *  replay cursor consumed the halt record). */
-    bool
-    streamHalted() const
-    {
-        return replay != nullptr ? replayHalted : _exec->halted();
-    }
-
-    void predictControl(DynInst &di, std::uint64_t actualNextPc,
-                        std::uint64_t rasPushPc);
+    /** Branch prediction and BTB/RAS training for a fetched
+     *  correct-path instruction whose resolved successor is
+     *  @p actualNextPc (0 once the program ended). */
+    void predictControl(DynInst &di, std::uint64_t actualNextPc);
 
     /// @name Speculative front end (cfg.specFrontEnd; DESIGN.md §14).
     /// @{
@@ -463,13 +446,9 @@ class Core
     CoreConfig cfg;
     IqLimitController *ctrl;
 
-    /** Functional source: the interpreter (direct mode) or a trace
-     *  cursor (replay mode); exactly one is active. */
-    std::optional<ExecContext> _exec;
-    FuncTrace *replay;
-    TraceCursor replayCur;
-    std::uint64_t replayIdx = 0;
-    bool replayHalted = false;
+    /** The functional interpreter, stepped once per fetched
+     *  correct-path instruction. */
+    ExecContext _exec;
 
     MemHierarchy mem;
     Bpred _bpred;

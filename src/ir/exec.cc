@@ -1,5 +1,6 @@
 #include "ir/exec.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.hh"
@@ -39,10 +40,26 @@ wrapMul(std::int64_t a, std::int64_t b)
 ExecContext::ExecContext(const Program &prog_)
     : prog(prog_), proc(prog_.entryProc)
 {
-    mem.assign(prog.memWords, 0);
-    for (const auto &[addr, value] : prog.memInit)
-        mem[wrap(static_cast<std::int64_t>(addr))] = value;
+    const std::int64_t *image = prog.initialMemory().data();
+    const std::uint64_t npages =
+        (prog.memWords + pageWords - 1) >> pageShift;
+    pages.resize(npages);
+    for (std::uint64_t p = 0; p < npages; p++)
+        pages[p] = image + (p << pageShift);
+    owned.resize(npages);
     normalize();
+}
+
+std::int64_t *
+ExecContext::copyPage(std::uint64_t p)
+{
+    const std::uint64_t first = p << pageShift;
+    const std::uint64_t n = std::min(pageWords, prog.memWords - first);
+    owned[p] = std::make_unique_for_overwrite<std::int64_t[]>(pageWords);
+    std::int64_t *page = owned[p].get();
+    std::copy_n(pages[p], n, page);
+    pages[p] = page;
+    return page;
 }
 
 void
@@ -67,7 +84,10 @@ std::uint64_t
 ExecContext::wrap(std::int64_t wordAddr) const
 {
     // Addresses wrap modulo the memory size; keeps synthetic workloads
-    // deterministic even when index arithmetic overshoots.
+    // deterministic even when index arithmetic overshoots. In-range
+    // addresses, nearly all of them, skip the division.
+    if (static_cast<std::uint64_t>(wordAddr) < prog.memWords)
+        return static_cast<std::uint64_t>(wordAddr);
     const auto size = static_cast<std::int64_t>(prog.memWords);
     std::int64_t m = wordAddr % size;
     if (m < 0)
@@ -78,20 +98,17 @@ ExecContext::wrap(std::int64_t wordAddr) const
 std::int64_t
 ExecContext::readMem(std::uint64_t wordAddr) const
 {
-    return mem[wrap(static_cast<std::int64_t>(wordAddr))];
+    return load(wrap(static_cast<std::int64_t>(wordAddr)));
 }
 
 void
-ExecContext::advance(StepResult &res)
+ExecContext::advance()
 {
-    // next instruction in the same block, falling through (possibly
-    // across empty blocks) at the end
+    // next instruction in the same block; only a block end needs
+    // normalize() to fall through (possibly across empty blocks)
     instIdx++;
-    normalize();
-    res.nextProc = proc;
-    res.nextBlock = block;
-    res.nextInstIdx = instIdx;
-    res.halted = _halted;
+    if (instIdx >= static_cast<int>(curBlk->insts.size()))
+        normalize();
 }
 
 StepResult
@@ -107,7 +124,6 @@ ExecContext::step()
     res.inst = &si;
     res.proc = proc;
     res.block = block;
-    res.instIdx = instIdx;
 
     auto ir = [&](int r) -> std::int64_t {
         return r == zeroReg ? 0 : iregs[r];
@@ -184,22 +200,22 @@ ExecContext::step()
       }
       case Opcode::Load: {
         res.memAddr = wrap(wrapAdd(ir(si.src1), si.imm));
-        setIr(si.dst, mem[res.memAddr]);
+        setIr(si.dst, load(res.memAddr));
         break;
       }
       case Opcode::Store: {
         res.memAddr = wrap(wrapAdd(ir(si.src1), si.imm));
-        mem[res.memAddr] = ir(si.src2);
+        store(res.memAddr, ir(si.src2));
         break;
       }
       case Opcode::FLoad: {
         res.memAddr = wrap(wrapAdd(ir(si.src1), si.imm));
-        setFr(si.dst, std::bit_cast<double>(mem[res.memAddr]));
+        setFr(si.dst, std::bit_cast<double>(load(res.memAddr)));
         break;
       }
       case Opcode::FStore: {
         res.memAddr = wrap(wrapAdd(ir(si.src1), si.imm));
-        mem[res.memAddr] = std::bit_cast<std::int64_t>(fr(si.src2));
+        store(res.memAddr, std::bit_cast<std::int64_t>(fr(si.src2)));
         break;
       }
       case Opcode::Beq:
@@ -222,9 +238,6 @@ ExecContext::step()
       case Opcode::Halt:
         _halted = true;
         res.halted = true;
-        res.nextProc = proc;
-        res.nextBlock = block;
-        res.nextInstIdx = instIdx;
         return res;
       default:
         panic("unhandled opcode in exec");
@@ -260,9 +273,6 @@ ExecContext::step()
         if (stack.empty()) {
             _halted = true;
             res.halted = true;
-            res.nextProc = proc;
-            res.nextBlock = block;
-            res.nextInstIdx = instIdx;
             return res;
         }
         const Frame f = stack.back();
@@ -271,14 +281,12 @@ ExecContext::step()
         block = f.block;
         instIdx = f.instIdx;
     } else {
-        advance(res);
+        advance();
+        res.halted = _halted;
         return res;
     }
 
     normalize();
-    res.nextProc = proc;
-    res.nextBlock = block;
-    res.nextInstIdx = instIdx;
     res.halted = _halted;
     return res;
 }

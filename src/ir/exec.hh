@@ -7,6 +7,11 @@
  * values, memory addresses and branch outcomes are known at fetch and
  * identical under every timing configuration. Tests assert that
  * property.
+ *
+ * Data memory is copy-on-write over the program's shared initial
+ * image (Program::initialMemory()): a context starts with per-page
+ * read pointers into the image and copies a page on its first store,
+ * so constructing a context costs a page table, not a memory image.
  */
 
 #ifndef SIQ_IR_EXEC_HH
@@ -14,6 +19,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "ir/program.hh"
@@ -25,13 +31,10 @@ namespace siq
 struct StepResult
 {
     const StaticInst *inst = nullptr;
+    /** Location of the instruction (a call's return site is the
+     *  fallthrough of this block). */
     int proc = -1;
     int block = -1;
-    int instIdx = -1;
-    /** Location of the next instruction (after control resolution). */
-    int nextProc = -1;
-    int nextBlock = -1;
-    int nextInstIdx = -1;
     bool taken = false;        ///< conditional branch outcome
     std::uint64_t memAddr = 0; ///< word address for loads/stores
     bool halted = false;       ///< program finished at this step
@@ -91,8 +94,31 @@ class ExecContext
         int instIdx;
     };
 
+    /** Copy-on-write page size, in words (4 KiB pages). */
+    static constexpr int pageShift = 9;
+    static constexpr std::uint64_t pageWords = 1ull << pageShift;
+
     std::uint64_t wrap(std::int64_t wordAddr) const;
-    void advance(StepResult &res);
+
+    std::int64_t
+    load(std::uint64_t wordAddr) const
+    {
+        return pages[wordAddr >> pageShift][wordAddr & (pageWords - 1)];
+    }
+
+    void
+    store(std::uint64_t wordAddr, std::int64_t value)
+    {
+        std::int64_t *page = owned[wordAddr >> pageShift].get();
+        if (page == nullptr)
+            page = copyPage(wordAddr >> pageShift);
+        page[wordAddr & (pageWords - 1)] = value;
+    }
+
+    /** Give page @p p a private copy (first store to it). */
+    std::int64_t *copyPage(std::uint64_t p);
+
+    void advance();
     /** Skip empty blocks (fallthrough-only joins) and detect halt. */
     void normalize();
 
@@ -104,7 +130,10 @@ class ExecContext
     const BasicBlock *curBlk = nullptr;
     std::array<std::int64_t, numIntArchRegs> iregs{};
     std::array<double, numFpArchRegs> fregs{};
-    std::vector<std::int64_t> mem;
+    /** Read pointer per page: into the shared image until the page's
+     *  first store, then into its private copy in `owned`. */
+    std::vector<const std::int64_t *> pages;
+    std::vector<std::unique_ptr<std::int64_t[]>> owned;
     std::vector<Frame> stack;
     int proc;
     int block = 0;

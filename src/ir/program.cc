@@ -1,73 +1,62 @@
 #include "ir/program.hh"
 
 #include <algorithm>
+#include <mutex>
 
 #include "common/logging.hh"
 
 namespace siq
 {
 
+/**
+ * The dense initial data-memory image of a program: memInit applied to
+ * zeroed memory. Built once, on the first ExecContext that needs it,
+ * and shared read-only by every context (and by every copy of the
+ * program that keeps the same memory) for the program's lifetime.
+ */
+class MemImage
+{
+  public:
+    /** @param key fingerprint of the memory it images (memWords and
+     *  memInit), so a re-finalized program keeps the image only while
+     *  its memory is unchanged */
+    explicit MemImage(std::uint64_t key) : _key(key) {}
+
+    std::uint64_t key() const { return _key; }
+
+    /** The image of @p memWords words with @p init applied (addresses
+     *  wrap modulo memWords); built on the first call, thread-safe. */
+    const std::vector<std::int64_t> &
+    words(std::uint64_t memWords,
+          const std::vector<std::pair<std::uint64_t, std::int64_t>> &init)
+        const;
+
+  private:
+    std::uint64_t _key;
+    mutable std::once_flag built;
+    mutable std::vector<std::int64_t> dense;
+};
+
 namespace
 {
 
-/** Incremental FNV-1a 64-bit hasher for the content fingerprint. */
-class Fnv
-{
-  public:
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; i++) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    }
-
-    std::uint64_t value() const { return h; }
-
-  private:
-    std::uint64_t h = 0xcbf29ce484222325ull;
-};
-
+/** Fingerprint of the data memory a MemImage images (a word-wise
+ *  multiply-xorshift hash: cheap enough to run on every finalize). */
 std::uint64_t
-hashContent(const Program &prog)
+memoryKey(const Program &prog)
 {
-    Fnv f;
-    f.mix(static_cast<std::uint64_t>(prog.entryProc));
-    f.mix(prog.memWords);
-    f.mix(prog.memInit.size());
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v) {
+        h = (h ^ v) * 0x9e3779b97f4a7c15ull;
+        h ^= h >> 29;
+    };
+    mix(prog.memWords);
+    mix(prog.memInit.size());
     for (const auto &[addr, value] : prog.memInit) {
-        f.mix(addr);
-        f.mix(static_cast<std::uint64_t>(value));
+        mix(addr);
+        mix(static_cast<std::uint64_t>(value));
     }
-    f.mix(prog.procs.size());
-    for (const auto &proc : prog.procs) {
-        f.mix(proc.blocks.size());
-        for (const auto &block : proc.blocks) {
-            f.mix(static_cast<std::uint64_t>(block.fallthrough));
-            f.mix(block.indirectTargets.size());
-            for (const int t : block.indirectTargets)
-                f.mix(static_cast<std::uint64_t>(t));
-            f.mix(block.insts.size());
-            for (const StaticInst &si : block.insts) {
-                f.mix(static_cast<std::uint64_t>(si.op));
-                f.mix(static_cast<std::uint64_t>(
-                          static_cast<std::uint16_t>(si.dst)) |
-                      static_cast<std::uint64_t>(
-                          static_cast<std::uint16_t>(si.src1))
-                          << 16 |
-                      static_cast<std::uint64_t>(
-                          static_cast<std::uint16_t>(si.src2))
-                          << 32 |
-                      static_cast<std::uint64_t>(si.hintValue) << 48);
-                f.mix(static_cast<std::uint64_t>(si.imm));
-                f.mix(static_cast<std::uint64_t>(
-                          static_cast<std::uint32_t>(si.target)) |
-                      static_cast<std::uint64_t>(si.tagHint) << 32);
-            }
-        }
-    }
-    return f.value();
+    return h;
 }
 
 } // namespace
@@ -88,6 +77,32 @@ blockStartPc(const Program &prog, int proc, int block)
     }
 }
 
+const std::vector<std::int64_t> &
+MemImage::words(
+    std::uint64_t memWords,
+    const std::vector<std::pair<std::uint64_t, std::int64_t>> &init) const
+{
+    std::call_once(built, [&] {
+        dense.assign(memWords, 0);
+        // signed wrap, exactly as the interpreter wraps addresses
+        const auto size = static_cast<std::int64_t>(memWords);
+        for (const auto &[addr, value] : init) {
+            std::int64_t m = static_cast<std::int64_t>(addr) % size;
+            if (m < 0)
+                m += size;
+            dense[static_cast<std::size_t>(m)] = value;
+        }
+    });
+    return dense;
+}
+
+const std::vector<std::int64_t> &
+Program::initialMemory() const
+{
+    SIQ_ASSERT(memImage != nullptr, "program ", name, " not finalized");
+    return memImage->words(memWords, memInit);
+}
+
 void
 Program::finalize()
 {
@@ -106,7 +121,11 @@ Program::finalize()
         pc = (pc + 0xFFF) & ~0xFFFull;
     }
 
-    contentHash = hashContent(*this);
+    // keep a shared image across re-finalization (hint insertion)
+    // while the memory it images is unchanged
+    const std::uint64_t key = memoryKey(*this);
+    if (memImage == nullptr || memImage->key() != key)
+        memImage = std::make_shared<const MemImage>(key);
 
     for (auto &proc : procs) {
         const int nblocks = static_cast<int>(proc.blocks.size());

@@ -19,6 +19,7 @@
 #define SIQ_IR_PROGRAM_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,6 +71,9 @@ struct Procedure
     }
 };
 
+/** A program's shared initial memory image (defined in program.cc). */
+class MemImage;
+
 /** A whole program plus its initial data memory image. */
 struct Program
 {
@@ -82,23 +86,21 @@ struct Program
     std::vector<std::pair<std::uint64_t, std::int64_t>> memInit;
 
     /**
-     * Content fingerprint (FNV-1a 64 over every field that affects
-     * execution: instructions, block structure, entry point, memory
-     * size and image), filled by finalize(). Two Program objects with
-     * equal hashes execute identically instruction for instruction —
-     * the key the sweep engine's functional-trace cache shares traces
-     * under, across techniques whose annotation was a no-op and across
-     * ablation cells that only vary microarchitectural knobs.
-     */
-    std::uint64_t contentHash = 0;
-
-    /**
-     * Assign PCs, build CFG successor/predecessor lists, compute
-     * contentHash and validate structural invariants. Must be called
-     * after construction and after any instruction insertion (e.g.
-     * hint NOOPs).
+     * Assign PCs, build CFG successor/predecessor lists, attach the
+     * (lazily built) memory image and validate structural invariants.
+     * Must be called after construction and after any instruction
+     * insertion (e.g. hint NOOPs).
      */
     void finalize();
+
+    /**
+     * memInit applied to memWords zeroed words, built on first use and
+     * shared with every copy of this program whose memory is unchanged
+     * (hint annotation copies a program and re-finalizes it, but never
+     * touches data memory, so raw and annotated programs share one
+     * image). Requires finalize().
+     */
+    const std::vector<std::int64_t> &initialMemory() const;
 
     std::size_t
     instCount() const
@@ -111,15 +113,17 @@ struct Program
 
   private:
     void validate() const;
+
+    std::shared_ptr<const MemImage> memImage;
 };
 
 /**
  * PC of the first instruction executed when control enters
  * (@p proc, @p block), resolving through empty fallthrough-only
  * blocks exactly like the functional interpreter's normalize(); 0
- * when the chain ends without an instruction. Shared by the core's
- * return-address-stack prediction and the functional trace producer
- * so their RAS push values can never drift apart.
+ * when the chain ends without an instruction. The core's return
+ * address stack and its wrong-path fetch resolve every target PC
+ * through it.
  */
 std::uint64_t blockStartPc(const Program &prog, int proc, int block);
 

@@ -42,14 +42,14 @@
     X(hintNoopsInserted) X(tagsApplied) X(hintsElided)
 
 /**
- * Per-cell wall-clock timing fields of RunResult, one per pipeline
- * phase: workload synthesis, functional-trace production and compiler
- * annotation. They are metadata, not measurements — canonicalize()
- * zeroes them and identicalMeasurement() ignores them — but they
- * round-trip exactly through the JSON/CSV writers so cache reuse
- * (traceSeconds == 0 on a trace-cache hit) is visible in reports.
+ * Per-cell wall-clock timing fields of RunResult, one per build
+ * phase: workload synthesis and compiler annotation. They are
+ * metadata, not measurements — canonicalize() zeroes them and
+ * identicalMeasurement() ignores them — but the JSON and CSV writers
+ * export them, so cache reuse (0 on a program-cache hit) is visible
+ * in reports.
  */
 #define SIQ_RUN_TIMING_FIELDS(X)                                         \
-    X(generateSeconds) X(traceSeconds) X(compileSeconds)
+    X(generateSeconds) X(compileSeconds)
 
 #endif // SIQ_SIM_FIELDS_HH

@@ -1,7 +1,6 @@
 #include "sim/report.hh"
 
 #include <cstdio>
-#include <map>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -20,8 +19,6 @@ namespace
 // the JSON tree/parser and the whole-token numeric validators live in
 // common/json (shared with the serve daemon's request parsing)
 using JsonValue = json::Value;
-using json::parseDouble;
-using json::parseU64;
 using json::quote;
 
 std::string
@@ -42,10 +39,8 @@ appendCellJson(std::ostream &os, const RunResult &r)
        << ",\"family\":" << quote(techniqueName(r.tech))
        << ",\"generateSeconds\":" << fmtDouble(r.generateSeconds);
     // wall-clock metadata added after the v5 schema: emitted only
-    // when nonzero so canonicalize()d output (which zeroes them)
-    // keeps its historical bytes — the determinism pin digests those
-    if (r.traceSeconds != 0.0)
-        os << ",\"traceSeconds\":" << fmtDouble(r.traceSeconds);
+    // when nonzero so canonicalize()d output (which zeroes it) keeps
+    // its historical bytes — the determinism pin digests those
     if (r.compileSeconds != 0.0)
         os << ",\"compileSeconds\":" << fmtDouble(r.compileSeconds);
     os << ",\"stats\":{";
@@ -57,7 +52,7 @@ appendCellJson(std::ostream &os, const RunResult &r)
 #undef X
     // speculative-front-end counters: nonzero-only, so oracle-mode
     // exports keep their historical bytes (and the determinism-pin
-    // digest) — the same schema-evolution pattern as traceSeconds
+    // digest) — the same schema-evolution pattern as compileSeconds
 #define X(f)                                                             \
     if (r.stats.f != 0)                                                  \
         os << ",\"" #f "\":" << r.stats.f;
@@ -93,10 +88,10 @@ cellFromJson(const JsonValue &v)
         fatal("report JSON: unknown technique family '", family, "'");
     r.tech = *tech;
     r.generateSeconds = v.at("generateSeconds").asDouble();
-    // optional (nonzero-only) keys — absent in pre-v6 and canonical
-    // output, same schema-evolution pattern as the "seeds" key
-    if (const JsonValue *ts = v.find("traceSeconds"))
-        r.traceSeconds = ts->asDouble();
+    // optional (nonzero-only) key — absent in pre-v6 and canonical
+    // output, same schema-evolution pattern as the "seeds" key. Keys
+    // this reader does not know (older exports' per-cell trace
+    // timing) are ignored.
     if (const JsonValue *cs = v.find("compileSeconds"))
         r.compileSeconds = cs->asDouble();
     const JsonValue &stats = v.at("stats");
@@ -121,7 +116,7 @@ cellFromJson(const JsonValue &v)
 #undef X
     r.compile.seconds = compile.at("seconds").asDouble();
     // pre-v6 exports carry annotation time only inside the compile
-    // block; mirror it so macro-driven CSV re-export stays lossless
+    // block; mirror it so the CSV export of a read-back result keeps it
     if (r.compileSeconds == 0.0)
         r.compileSeconds = r.compile.seconds;
     return r;
@@ -242,19 +237,7 @@ writeJson(std::ostream &os, const SweepResult &result)
        << result.cache.workloadBuilds
        << ",\"workloadHits\":" << result.cache.workloadHits
        << ",\"compileBuilds\":" << result.cache.compileBuilds
-       << ",\"compileHits\":" << result.cache.compileHits;
-    // trace-cache counters (nonzero only with tracing on; all zeroed
-    // by canonicalize()) stay out of the historical cache schema so
-    // canonical bytes — and the determinism-pin digest — don't move
-    if (result.cache.traceBuilds != 0 || result.cache.traceHits != 0 ||
-        result.cache.traceEvicted != 0 ||
-        result.cache.traceBytes != 0) {
-        os << ",\"traceBuilds\":" << result.cache.traceBuilds
-           << ",\"traceHits\":" << result.cache.traceHits
-           << ",\"traceEvicted\":" << result.cache.traceEvicted
-           << ",\"traceBytes\":" << result.cache.traceBytes;
-    }
-    os << "}";
+       << ",\"compileHits\":" << result.cache.compileHits << "}";
     // replication block only when aggregates exist, so seeds == 1
     // output (and the empty matrix) keeps the unreplicated schema and
     // always reads back
@@ -301,12 +284,6 @@ readJson(std::istream &is)
     result.cache.workloadHits = cache.at("workloadHits").asU64();
     result.cache.compileBuilds = cache.at("compileBuilds").asU64();
     result.cache.compileHits = cache.at("compileHits").asU64();
-    if (const JsonValue *tb = cache.find("traceBuilds")) {
-        result.cache.traceBuilds = tb->asU64();
-        result.cache.traceHits = cache.at("traceHits").asU64();
-        result.cache.traceEvicted = cache.at("traceEvicted").asU64();
-        result.cache.traceBytes = cache.at("traceBytes").asU64();
-    }
     for (const auto &cell : root.at("cells").array)
         result.cells.push_back(cellFromJson(cell));
     if (const JsonValue *seeds = root.find("seeds")) {
@@ -319,8 +296,7 @@ readJson(std::istream &is)
     }
 
     // SweepResult::at() assumes a complete technique-major matrix;
-    // reject filtered, reordered or hand-edited cell arrays (the
-    // same defence readCsv applies to row sets)
+    // reject filtered, reordered or hand-edited cell arrays
     const std::size_t nb = result.benchmarks.size();
     if (result.cells.size() != nb * result.techniques.size())
         fatal("report JSON: cell count does not match the matrix");
@@ -418,143 +394,6 @@ writeCsv(std::ostream &os, const SweepResult &result)
         }
         os << "\n";
     }
-}
-
-SweepResult
-readCsv(std::istream &is)
-{
-    auto split = [](const std::string &line) {
-        std::vector<std::string> cells;
-        std::string cur;
-        for (char c : line) {
-            if (c == ',') {
-                cells.push_back(cur);
-                cur.clear();
-            } else {
-                cur += c;
-            }
-        }
-        cells.push_back(cur);
-        return cells;
-    };
-
-    std::string line;
-    if (!std::getline(is, line))
-        fatal("report CSV: empty input");
-    const std::vector<std::string> headers = split(line);
-    std::map<std::string, std::size_t> col;
-    for (std::size_t i = 0; i < headers.size(); i++)
-        col[headers[i]] = i;
-    auto need = [&](const std::string &name) {
-        auto it = col.find(name);
-        if (it == col.end())
-            fatal("report CSV: missing column '", name, "'");
-        return it->second;
-    };
-
-    const bool agg = col.find("n") != col.end();
-    // spec-mode CSVs (real front end) carry the speculation columns;
-    // oracle-mode ones omit them entirely
-    const bool spec = col.find("stats_wrongPathFetched") != col.end();
-
-    SweepResult result;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        const std::vector<std::string> cells = split(line);
-        if (cells.size() != headers.size())
-            fatal("report CSV: row width mismatch");
-        auto u64 = [&](const std::string &name) {
-            return parseU64(cells[need(name)]);
-        };
-        auto dbl = [&](const std::string &name) {
-            return parseDouble(cells[need(name)]);
-        };
-        RunResult r;
-        r.benchmark = cells[need("benchmark")];
-        r.technique = cells[need("technique")];
-        const std::string &family = cells[need("family")];
-        const auto tech = techniqueFromName(family);
-        if (!tech)
-            fatal("report CSV: unknown technique family '", family,
-                  "'");
-        r.tech = *tech;
-        r.generateSeconds = dbl("generateSeconds");
-        // optional: pre-v6 CSVs predate trace replay
-        if (col.find("traceSeconds") != col.end())
-            r.traceSeconds = dbl("traceSeconds");
-        r.compileSeconds = dbl("compileSeconds");
-        r.compile.seconds = r.compileSeconds;
-#define X(f) r.stats.f = u64("stats_" #f);
-        SIQ_CORE_STATS_FIELDS(X)
-        if (spec) {
-            SIQ_CORE_SPEC_STATS_FIELDS(X)
-        }
-#undef X
-#define X(f) r.iq.f = u64("iq_" #f);
-        SIQ_IQ_EVENT_FIELDS(X)
-#undef X
-#define X(f)                                                             \
-    r.compile.f = static_cast<std::size_t>(u64("compile_" #f));
-        SIQ_COMPILE_STATS_FIELDS(X)
-#undef X
-        result.cells.push_back(std::move(r));
-
-        if (agg) {
-            CellAggregate a;
-            auto metric = [&](const std::string &base) {
-                MetricAggregate m;
-                m.mean = dbl(base + "_mean");
-                m.stddev = dbl(base + "_stddev");
-                m.ci95 = dbl(base + "_ci95");
-                return m;
-            };
-            a.n = u64("n");
-            a.ipc = metric("ipc");
-#define X(f) a.stats_##f = metric("stats_" #f);
-            SIQ_CORE_STATS_FIELDS(X)
-            if (spec) {
-                SIQ_CORE_SPEC_STATS_FIELDS(X)
-            }
-#undef X
-#define X(f) a.iq_##f = metric("iq_" #f);
-            SIQ_IQ_EVENT_FIELDS(X)
-#undef X
-            if (!result.aggregates.empty() &&
-                result.aggregates.front().n != a.n)
-                fatal("report CSV: inconsistent replica count n");
-            result.aggregates.push_back(a);
-        }
-
-        const auto &added = result.cells.back();
-        bool haveBench = false;
-        for (const auto &b : result.benchmarks)
-            haveBench = haveBench || b == added.benchmark;
-        if (!haveBench)
-            result.benchmarks.push_back(added.benchmark);
-        bool haveTech = false;
-        for (const auto &t : result.techniques)
-            haveTech = haveTech || t == added.technique;
-        if (!haveTech)
-            result.techniques.push_back(added.technique);
-    }
-
-    if (!result.aggregates.empty())
-        result.seeds = static_cast<int>(result.aggregates.front().n);
-
-    // SweepResult::at() assumes a complete technique-major matrix;
-    // reject filtered, reordered or hand-edited row sets
-    const std::size_t nb = result.benchmarks.size();
-    if (result.cells.size() != nb * result.techniques.size())
-        fatal("report CSV: cell count does not match the matrix");
-    for (std::size_t i = 0; i < result.cells.size(); i++) {
-        const RunResult &r = result.cells[i];
-        if (r.benchmark != result.benchmarks[i % nb] ||
-            r.technique != result.techniques[i / nb])
-            fatal("report CSV: rows are not in technique-major "
-                  "matrix order (row ", i + 2, ")");
-    }
-    return result;
 }
 
 namespace
@@ -899,11 +738,7 @@ toJson(const SweepCacheStats &cache)
     os << "{\"workloadBuilds\":" << cache.workloadBuilds
        << ",\"workloadHits\":" << cache.workloadHits
        << ",\"compileBuilds\":" << cache.compileBuilds
-       << ",\"compileHits\":" << cache.compileHits
-       << ",\"traceBuilds\":" << cache.traceBuilds
-       << ",\"traceHits\":" << cache.traceHits
-       << ",\"traceEvicted\":" << cache.traceEvicted
-       << ",\"traceBytes\":" << cache.traceBytes << "}";
+       << ",\"compileHits\":" << cache.compileHits << "}";
     return os.str();
 }
 
@@ -916,10 +751,6 @@ cacheStatsFromJson(const std::string &text)
     s.workloadHits = root.at("workloadHits").asU64();
     s.compileBuilds = root.at("compileBuilds").asU64();
     s.compileHits = root.at("compileHits").asU64();
-    s.traceBuilds = root.at("traceBuilds").asU64();
-    s.traceHits = root.at("traceHits").asU64();
-    s.traceEvicted = root.at("traceEvicted").asU64();
-    s.traceBytes = root.at("traceBytes").asU64();
     return s;
 }
 

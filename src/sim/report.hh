@@ -1,15 +1,15 @@
 /**
  * @file
- * Structured (de)serialization for the experiment engine: JSON and
- * CSV emitters (and matching readers) for RunResult matrices, the
- * paper's PowerComparison savings, declarative SweepSpec grids, and
- * per-cell checkpoint payloads — so figure data, experiment specs
- * and partial-run state can all leave the process machine-readably.
+ * Structured (de)serialization for the experiment engine: JSON
+ * emitters and readers for RunResult matrices, declarative SweepSpec
+ * grids and per-cell checkpoint payloads, plus CSV emitters for
+ * matrices and the paper's PowerComparison savings — so figure data,
+ * experiment specs and partial-run state can all leave the process
+ * machine-readably.
  *
  * Round-trip guarantee: integer counters are emitted verbatim and
  * doubles with 17 significant digits, so writeJson → readJson (and
- * writeCsv → readCsv, writeSpecJson → readSpecJson) reproduces every
- * field bit-exactly.
+ * writeSpecJson → readSpecJson) reproduces every field bit-exactly.
  */
 
 #ifndef SIQ_SIM_REPORT_HH
@@ -55,11 +55,6 @@ SweepResult readJson(std::istream &is);
  *  `<metric>_stddev` and `<metric>_ci95` columns per metric;
  *  seeds == 1 output keeps the unreplicated column set. */
 void writeCsv(std::ostream &os, const SweepResult &result);
-
-/** Parse writeCsv output. The benchmark/technique axes are rebuilt
- *  from the rows in first-appearance order; cache counters are not
- *  part of the CSV and come back zero. Fatal on malformed input. */
-SweepResult readCsv(std::istream &is);
 
 /**
  * Per-cell power savings vs the named baseline technique (which must
@@ -147,12 +142,12 @@ std::string toJson(const CellCheckpoint &ckpt);
 /** Parse toJson(CellCheckpoint) output; fatal on malformed input. */
 CellCheckpoint cellCheckpointFromJson(const std::string &text);
 
-/** Serialize cache counters (the `siqsim run` cache.json payload;
- *  always carries every counter, unlike the sweep export's
- *  schema-frozen cache block). */
+/** Serialize cache counters (the `siqsim run` cache.json payload). */
 std::string toJson(const SweepCacheStats &cache);
 
-/** Parse toJson(SweepCacheStats) output; fatal on malformed input. */
+/** Parse toJson(SweepCacheStats) output; fatal on malformed input.
+ *  Keys it does not know (older payloads' trace counters) are
+ *  ignored. */
 SweepCacheStats cacheStatsFromJson(const std::string &text);
 
 /// @}
@@ -160,7 +155,7 @@ SweepCacheStats cacheStatsFromJson(const std::string &text);
 /**
  * Zero every scheduling / wall-clock / cache-accounting field of a
  * result (jobsUsed, wallSeconds, cache counters, per-cell
- * generateSeconds, traceSeconds, compileSeconds and compile.seconds),
+ * generateSeconds, compileSeconds and compile.seconds),
  * leaving only measurements.
  * Two runs of the same spec — serial or threaded, sharded or not,
  * resumed or not — canonicalize to byte-identical exports; this is

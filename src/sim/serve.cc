@@ -278,6 +278,17 @@ struct ServeEngine::Impl
     mutable std::mutex statsMu;
     Stats stats_;
 
+    /** Count one cell of a request on its done-record counter @p n
+     *  and in the engine-wide total @p total at once: the engine
+     *  stats include a cell before any record reports it. */
+    void
+    countCell(std::atomic<std::uint64_t> &n, std::uint64_t Stats::*total)
+    {
+        n.fetch_add(1, std::memory_order_relaxed);
+        std::lock_guard lock(statsMu);
+        stats_.*total += 1;
+    }
+
     // ---------------------------------------------- record emission
 
     void
@@ -511,7 +522,7 @@ struct ServeEngine::Impl
                 p.seeds = static_cast<int>(agg->n);
             }
             const auto flight = req->flights[i];
-            req->nSim.fetch_add(1, std::memory_order_relaxed);
+            countCell(req->nSim, &Stats::cellsSimulated);
             if (!flight) {
                 // defensive: a cell the hook abandoned should never
                 // reach onCellDone (the execution-time decision is
@@ -622,8 +633,7 @@ struct ServeEngine::Impl
             // any worker spawns
             if (req->cancelled.load(std::memory_order_relaxed)) {
                 req->plan[i] = Request::Plan::Cancelled;
-                req->nCancelled.fetch_add(1,
-                                          std::memory_order_relaxed);
+                countCell(req->nCancelled, &Stats::cellsCancelled);
                 return false;
             }
             Claim c = claimOrAttach(cellIdentity(req->spec, i), req, i);
@@ -631,13 +641,13 @@ struct ServeEngine::Impl
               case Claim::Kind::Cached:
                 req->plan[i] = Request::Plan::Cached;
                 req->cached[i] = c.payload;
-                req->nCached.fetch_add(1, std::memory_order_relaxed);
+                countCell(req->nCached, &Stats::cellsCached);
                 emitCell(req, i, *c.payload);
                 return false;
               case Claim::Kind::Attached:
                 req->plan[i] = Request::Plan::Wait;
                 req->flights[i] = c.flight;
-                req->nShared.fetch_add(1, std::memory_order_relaxed);
+                countCell(req->nShared, &Stats::cellsShared);
                 return false;
               case Claim::Kind::Claimed:
                 req->plan[i] = Request::Plan::Simulate;
@@ -657,7 +667,7 @@ struct ServeEngine::Impl
             abandonIfUnwaited(req->flights[i])) {
             req->plan[i] = Request::Plan::Cancelled;
             req->flights[i] = nullptr;
-            req->nCancelled.fetch_add(1, std::memory_order_relaxed);
+            countCell(req->nCancelled, &Stats::cellsCancelled);
             return false;
         }
         req->plan[i] = Request::Plan::Running;
@@ -667,13 +677,6 @@ struct ServeEngine::Impl
     void
     finishRequest(const std::shared_ptr<Request> &req)
     {
-        {
-            std::lock_guard lock(statsMu);
-            stats_.cellsSimulated += req->nSim.load();
-            stats_.cellsShared += req->nShared.load();
-            stats_.cellsCached += req->nCached.load();
-            stats_.cellsCancelled += req->nCancelled.load();
-        }
         std::lock_guard lock(req->client->mu);
         // retire this request's own thread handle so the next
         // submitLine joins it; ~Client remains the backstop for the
@@ -855,12 +858,10 @@ ServeEngine::optionsFromEnv()
         return Result<Options>::error(fanout.error());
     opts.fanoutWaitMs = fanout.value();
 
-    // the runner reads these lazily mid-request; surface a malformed
+    // the runner reads this lazily mid-request; surface a malformed
     // environment at startup instead
     if (auto seeds = trySeedsFromEnv(); !seeds)
         return Result<Options>::error(seeds.error());
-    if (auto cap = tryTraceCapBytesFromEnv(); !cap)
-        return Result<Options>::error(cap.error());
 
     return Result<Options>::ok(opts);
 }

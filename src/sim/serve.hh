@@ -3,10 +3,10 @@
  * The simulation service: one long-lived engine, many concurrent
  * clients, newline-delimited JSON in both directions (DESIGN.md §13).
  *
- * The batch CLI pays workload synthesis, hint compilation, and trace
- * production once per *process*; a service pays them once per
- * *deployment*. ServeEngine wraps one ExperimentRunner — whose
- * workload/compiled-program/trace caches are already thread-safe and
+ * The batch CLI pays workload synthesis and hint compilation once per
+ * *process*; a service pays them once per *deployment*. ServeEngine
+ * wraps one ExperimentRunner — whose workload/compiled-program caches
+ * are already thread-safe and
  * persist across run() calls — and runs each client request as one
  * sweep on its own thread, streaming per-cell records back the moment
  * CellHooks::onCellDone fires.
@@ -103,8 +103,8 @@ class ServeEngine
      *  SIQSIM_SERVE_RESULT_CACHE / SIQSIM_SERVE_FANOUT_MS
      *  (validated up front — a daemon
      *  should refuse a malformed environment at startup, not die on
-     *  request one). Also validates the engine-level knobs the
-     *  runner reads lazily (SIQSIM_SEEDS, SIQSIM_TRACE_CACHE_MB). */
+     *  request one). Also validates the engine-level knob the
+     *  runner reads lazily (SIQSIM_SEEDS). */
     static Result<Options> optionsFromEnv();
 
     explicit ServeEngine(const Options &opts);
@@ -151,7 +151,13 @@ class ServeEngine
     /** Register a new client session. */
     std::shared_ptr<Client> connect();
 
-    /** Aggregate dedupe accounting across all finished requests. */
+    /**
+     * Aggregate dedupe accounting across all accepted requests. A
+     * cell is counted the moment its path (simulated, shared, cached,
+     * cancelled) is decided — before any record reports it — so once
+     * a client has read a done record, stats() already includes that
+     * request's counts.
+     */
     struct Stats
     {
         std::uint64_t requests = 0;      ///< accepted requests
@@ -163,7 +169,7 @@ class ServeEngine
     };
     Stats stats() const;
 
-    /** The shared runner's cache counters (workloads/compile/trace). */
+    /** The shared runner's cache counters (workloads/compile). */
     SweepCacheStats cacheStats() const;
 
   private:

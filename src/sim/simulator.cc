@@ -40,7 +40,7 @@ compilerConfigFor(Technique tech, const RunConfig &cfg)
 
 RunResult
 simulateProgram(const Program &prog, const TechniqueDef &def,
-                const RunConfig &cfg, FuncTrace *trace)
+                const RunConfig &cfg)
 {
     RunResult result;
     result.technique = def.name;
@@ -54,7 +54,7 @@ simulateProgram(const Program &prog, const TechniqueDef &def,
     // one Core construction per replica pays for all the tick loop's
     // arenas; warm-up and measurement then run allocation-free
     // (DESIGN.md §9) — resetStats() clears counters, not state
-    Core core(prog, cfg.core, controller.get(), trace);
+    Core core(prog, cfg.core, controller.get());
     if (cfg.warmupInsts > 0)
         core.run(cfg.warmupInsts);
     core.resetStats();
@@ -91,8 +91,6 @@ runOne(const std::string &benchmark, const std::string &technique,
             compileStats = compiler::annotate(prog, *cc);
     }
 
-    // runOne deliberately stays direct-interpreting: it is the serial
-    // reference the trace-replay equivalence tests compare against
     RunResult result = simulateProgram(prog, *def, cellCfg);
     result.benchmark = benchmark;
     result.generateSeconds = generateSeconds;

@@ -67,11 +67,10 @@ struct RunResult
     compiler::CompileStats compile;
     /// @name Build-time accounting (metadata, not measurements — each
     /// records wall-clock seconds this cell *spent*, so cached
-    /// workloads/traces legitimately report 0; excluded from
+    /// workloads legitimately report 0; excluded from
     /// identicalMeasurement and zeroed by canonicalize()).
     /// @{
     double generateSeconds = 0.0; ///< workload synthesis time
-    double traceSeconds = 0.0;    ///< functional trace production time
     double compileSeconds = 0.0;  ///< hint-annotation pass time
     /// @}
 
@@ -126,10 +125,7 @@ compilerConfigFor(Technique tech, const RunConfig &cfg);
  * Simulate an already-prepared (annotated, finalized) program under a
  * technique's controller. This is the single simulation path shared
  * by serial runOne and the threaded sweep engine; the caller fills in
- * workload/compile metadata on the returned result. When @p trace is
- * non-null the core replays the shared functional trace instead of
- * interpreting (@p prog must be content-identical to the trace's
- * program); timing and every counter are byte-identical either way.
+ * workload/compile metadata on the returned result.
  *
  * Cost model: constructing the Core allocates every arena the tick
  * loop needs (ROB + dense per-entry arrays, completion wheel, fetch
@@ -138,8 +134,7 @@ compilerConfigFor(Technique tech, const RunConfig &cfg);
  * one construction plus budget-proportional simulation.
  */
 RunResult simulateProgram(const Program &prog, const TechniqueDef &def,
-                          const RunConfig &cfg,
-                          FuncTrace *trace = nullptr);
+                          const RunConfig &cfg);
 
 /** Run one benchmark under one built-in technique (cfg.tech). */
 RunResult runOne(const std::string &benchmark, const RunConfig &cfg);

@@ -17,7 +17,6 @@
 #include "common/stats.hh"
 #include "sim/report.hh"
 #include "sim/technique.hh"
-#include "sim/trace_cache.hh"
 #include "workloads/family.hh"
 
 namespace siq::sim
@@ -123,20 +122,6 @@ class ProgramCache
         map;
 };
 
-/** SIQSIM_TRACE toggles trace replay; default on, "0" disables. */
-bool
-traceEnabledFromEnv()
-{
-    const char *v = std::getenv("SIQSIM_TRACE");
-    return v == nullptr || std::string(v) != "0";
-}
-
-std::uint64_t
-traceCapBytesFromEnv()
-{
-    return tryTraceCapBytesFromEnv().orFatal();
-}
-
 int
 seedsFromEnv()
 {
@@ -184,23 +169,6 @@ aggregateReplicas(const RunResult *reps, std::size_t n)
 
 } // namespace
 
-Result<std::uint64_t>
-tryTraceCapBytesFromEnv()
-{
-    const char *v = std::getenv("SIQSIM_TRACE_CACHE_MB");
-    if (v == nullptr)
-        return Result<std::uint64_t>::ok(512ull << 20);
-    char *end = nullptr;
-    errno = 0;
-    const long long n = std::strtoll(v, &end, 10);
-    if (end == v || *end != '\0' || errno == ERANGE || n < 0)
-        return Result<std::uint64_t>::error(
-            "SIQSIM_TRACE_CACHE_MB must be a non-negative integer, "
-            "got '" + std::string(v) + "'");
-    return Result<std::uint64_t>::ok(static_cast<std::uint64_t>(n)
-                                     << 20);
-}
-
 Result<int>
 trySeedsFromEnv()
 {
@@ -223,8 +191,6 @@ struct ExperimentRunner::Impl
     int defaultJobs;
     ProgramCache workloads;
     ProgramCache compiled;
-    /** Null when SIQSIM_TRACE=0 (cells interpret directly). */
-    std::unique_ptr<TraceCache> traces;
     std::atomic<std::uint64_t> workloadBuilds{0};
     std::atomic<std::uint64_t> workloadHits{0};
     std::atomic<std::uint64_t> compileBuilds{0};
@@ -273,18 +239,7 @@ ExperimentRunner::Impl::runCell(const CellKey &key,
         }
     }
 
-    RunResult result;
-    if (traces != nullptr) {
-        const std::shared_ptr<FuncTrace> trace = traces->get(toRun.prog);
-        // attribute to this cell whatever frontier growth its replay
-        // triggers (approximate under concurrent sharing — metadata,
-        // not a measurement; canonicalize() zeroes it)
-        const double t0 = trace->produceSeconds();
-        result = simulateProgram(*toRun.prog, def, cfg, trace.get());
-        result.traceSeconds = trace->produceSeconds() - t0;
-    } else {
-        result = simulateProgram(*toRun.prog, def, cfg);
-    }
+    RunResult result = simulateProgram(*toRun.prog, def, cfg);
     result.benchmark = key.benchmark;
     result.generateSeconds = raw.buildSeconds;
     result.compile = toRun.compile;
@@ -296,10 +251,6 @@ ExperimentRunner::ExperimentRunner(int jobs)
     : impl(std::make_unique<Impl>())
 {
     impl->defaultJobs = jobs;
-    if (traceEnabledFromEnv()) {
-        impl->traces =
-            std::make_unique<TraceCache>(traceCapBytesFromEnv());
-    }
 }
 
 ExperimentRunner::~ExperimentRunner() = default;
@@ -312,12 +263,6 @@ ExperimentRunner::cacheStats() const
     s.workloadHits = impl->workloadHits.load();
     s.compileBuilds = impl->compileBuilds.load();
     s.compileHits = impl->compileHits.load();
-    if (impl->traces != nullptr) {
-        s.traceBuilds = impl->traces->builds();
-        s.traceHits = impl->traces->hits();
-        s.traceEvicted = impl->traces->evicted();
-        s.traceBytes = impl->traces->residentBytes();
-    }
     return s;
 }
 

@@ -10,12 +10,11 @@
  *    techniques run it;
  *  - compiled (hint-annotated) programs, keyed by (workload key,
  *    full compiler configuration) — built once per distinct
- *    annotation and shared by every cell that asks for it;
- *  - functional traces (cpu/trace.hh), keyed by the program's content
- *    hash — the interpreter runs once per distinct program and every
- *    cell replays the shared trace, byte-identical by construction.
- *    Bounded by SIQSIM_TRACE_CACHE_MB (LRU eviction of unreferenced
- *    traces); SIQSIM_TRACE=0 disables replay entirely (DESIGN.md §11).
+ *    annotation and shared by every cell that asks for it.
+ *
+ * Every cell interprets its program directly; the cells of one
+ * program share its copy-on-write initial memory image (DESIGN.md
+ * §11).
  *
  * Caches are per-runner and persist across run() calls, so an
  * ablation binary that runs several sweeps over the same suite pays
@@ -120,14 +119,6 @@ struct SweepCacheStats
     std::uint64_t workloadHits = 0;
     std::uint64_t compileBuilds = 0;
     std::uint64_t compileHits = 0;
-    /// @name Trace cache (all zero when SIQSIM_TRACE=0).
-    /// @{
-    std::uint64_t traceBuilds = 0;
-    std::uint64_t traceHits = 0;
-    std::uint64_t traceEvicted = 0;
-    /** Trace arena bytes resident at sampling time (not cumulative). */
-    std::uint64_t traceBytes = 0;
-    /// @}
 
     bool operator==(const SweepCacheStats &) const = default;
 };
@@ -296,7 +287,7 @@ class ExperimentRunner
 /**
  * True when two results carry identical measurements: same cell
  * identity, bit-identical core stats, IQ events and compile counters.
- * Wall-clock fields (generateSeconds, traceSeconds, compileSeconds,
+ * Wall-clock fields (generateSeconds, compileSeconds,
  * compile.seconds) are excluded — they are the only fields that
  * legitimately differ between a serial and a cached/threaded run of
  * the same cell.
@@ -309,10 +300,6 @@ bool identicalMeasurement(const RunResult &a, const RunResult &b);
 /// so a malformed environment is reported once at startup rather
 /// than unwinding out of a tenant's run.
 /// @{
-
-/** SIQSIM_TRACE_CACHE_MB caps the trace cache; default 512 MiB, 0 =
- *  unbounded. Error on non-integer or negative values. */
-Result<std::uint64_t> tryTraceCapBytesFromEnv();
 
 /** SIQSIM_SEEDS for specs that defer (seeds == 0); default 1. Error
  *  on non-positive or malformed values. */

@@ -17,8 +17,8 @@ cd "$WORK"
 
 "$SIQSIM" run --spec spec.json --json unsharded.json --csv unsharded.csv \
     --power-csv unsharded_power.csv 2> run_unsharded.log
-# the run summary reports cache hit rates, trace cache included
-grep -q "caches: workloads .* traces " run_unsharded.log
+# the run summary reports workload and compile cache hit rates
+grep -q "caches: workloads .* compile .* hits$" run_unsharded.log
 
 "$SIQSIM" run --spec spec.json --shard 0/2 --ckpt ckpt
 
@@ -43,7 +43,7 @@ grep -q "missing cells:" status_partial.log
 grep -q "checkpointed: 4/4" status_done.log
 grep -q "complete" status_done.log
 grep -q "cache_shard_0_of_2.json: workloads " status_done.log
-grep -q "cache_shard_1_of_2.json: .* traces " status_done.log
+grep -q "cache_shard_1_of_2.json: .* compile " status_done.log
 "$SIQSIM" merge ckpt --json merged.json --csv merged.csv \
     --power-csv merged_power.csv
 

@@ -4,7 +4,7 @@
  * shard partitioning, SweepSpec JSON round-tripping, atomic per-cell
  * checkpoints, resume-without-rerun, and the headline guarantee that
  * merging N shard directories is byte-identical to running the same
- * spec unsharded.
+ * spec unsharded, and payloads written by older versions still read.
  */
 
 #include <gtest/gtest.h>
@@ -450,6 +450,232 @@ TEST(Checkpoint, MissingCellsAreFatal)
     sim::ExperimentRunner runner;
     sim::runWithCheckpoints(runner, spec, {0, 2}, scratch.path);
     EXPECT_THROW(sim::mergeCheckpoints({scratch.path}), FatalError);
+}
+
+// ------------------------------------------ exports of older versions
+
+/*
+ * Payloads written by the last version that had functional-trace
+ * replay. Its non-canonical outputs carry per-cell "traceSeconds" and
+ * trace-cache counters ("traceBuilds", "traceHits", "traceEvicted",
+ * "traceBytes"); readers must keep accepting them and ignore those
+ * keys. All three came from one gzip grid (baseline and noop, 500
+ * warm-up and 2000 measured instructions, rep divisor 40): two cell
+ * checkpoints, the run's cache.json, and its canonical export.
+ */
+
+const char *const oldCell0 =
+    "{\"index\":0,\"seeds\":1,\"cell\":{\"benchmark\":\"gzip\",\"technique\":\"b"
+    "aseline\",\"family\":\"baseline\",\"generateSeconds\":0.0002014139999"
+    "9999999,\"traceSeconds\":0.000278359,\"stats\":{\"cycles\":1306,\"com"
+    "mitted\":2001,\"fetched\":2003,\"dispatched\":2011,\"issued\":2006,\"h"
+    "intsApplied\":0,\"branchMispredicts\":2,\"frontRedirects\":1,\"condB"
+    "ranches\":173,\"dispatchStallRob\":0,\"dispatchStallIqFull\":1056,\""
+    "dispatchStallRange\":0,\"dispatchStallLimit\":0,\"dispatchStallReg"
+    "s\":0,\"dispatchStallLsq\":0,\"loads\":350,\"stores\":174,\"loadForwar"
+    "ds\":0,\"rfIntReads\":2535,\"rfIntWrites\":1571,\"rfFpReads\":0,\"rfFp"
+    "Writes\":0,\"rfIntLiveSum\":126495,\"rfIntPoweredBankCycles\":18132"
+    ",\"rfIntBankCycles\":18284,\"rfFpLiveSum\":41792,\"rfFpPoweredBankC"
+    "ycles\":5224,\"rfFpBankCycles\":18284},\"iq\":{\"broadcasts\":1571,\"c"
+    "mpGated\":36238,\"cmpPowered\":175424,\"cmpConventional\":251360,\"d"
+    "ispatchWrites\":2011,\"issueReads\":2006,\"poweredBankCycles\":6964"
+    ",\"totalBankCycles\":13060,\"occupancySum\":16345,\"cycles\":1306},\""
+    "compile\":{\"proceduresAnalyzed\":0,\"blocksAnalyzed\":0,\"loopsAnal"
+    "yzed\":0,\"hintNoopsInserted\":0,\"tagsApplied\":0,\"hintsElided\":0,"
+    "\"seconds\":0}}}\n";
+
+const char *const oldCell1 =
+    "{\"index\":1,\"seeds\":1,\"cell\":{\"benchmark\":\"gzip\",\"technique\":\"n"
+    "oop\",\"family\":\"noop\",\"generateSeconds\":0.00020141399999999999,"
+    "\"traceSeconds\":0.00025484699999999999,\"compileSeconds\":0.00057"
+    "921999999999997,\"stats\":{\"cycles\":1666,\"committed\":2000,\"fetch"
+    "ed\":2001,\"dispatched\":2000,\"issued\":2012,\"hintsApplied\":0,\"bra"
+    "nchMispredicts\":2,\"frontRedirects\":1,\"condBranches\":173,\"dispa"
+    "tchStallRob\":0,\"dispatchStallIqFull\":0,\"dispatchStallRange\":14"
+    "26,\"dispatchStallLimit\":0,\"dispatchStallRegs\":0,\"dispatchStall"
+    "Lsq\":0,\"loads\":350,\"stores\":172,\"loadForwards\":0,\"rfIntReads\":"
+    "2550,\"rfIntWrites\":1577,\"rfFpReads\":0,\"rfFpWrites\":0,\"rfIntLiv"
+    "eSum\":154648,\"rfIntPoweredBankCycles\":21640,\"rfIntBankCycles\":"
+    "23324,\"rfFpLiveSum\":53312,\"rfFpPoweredBankCycles\":6664,\"rfFpBa"
+    "nkCycles\":23324},\"iq\":{\"broadcasts\":1577,\"cmpGated\":35720,\"cmp"
+    "Powered\":165104,\"cmpConventional\":252320,\"dispatchWrites\":2000"
+    ",\"issueReads\":2012,\"poweredBankCycles\":7836,\"totalBankCycles\":"
+    "16660,\"occupancySum\":18585,\"cycles\":1666},\"compile\":{\"procedur"
+    "esAnalyzed\":1,\"blocksAnalyzed\":10,\"loopsAnalyzed\":2,\"hintNoops"
+    "Inserted\":4,\"tagsApplied\":0,\"hintsElided\":0,\"seconds\":0.000579"
+    "21999999999997}}}\n";
+
+const char *const oldCacheJson =
+    "{\"workloadBuilds\":1,\"workloadHits\":1,\"compileBuilds\":1,\"compil"
+    "eHits\":0,\"traceBuilds\":2,\"traceHits\":0,\"traceEvicted\":0,\"trace"
+    "Bytes\":393216}\n";
+
+const char *const oldCanonicalExport =
+    "{\"benchmarks\":[\"gzip\"],\"techniques\":[\"baseline\",\"noop\"],\"jobs\""
+    ":0,\"wallSeconds\":0,\"cache\":{\"workloadBuilds\":0,\"workloadHits\":"
+    "0,\"compileBuilds\":0,\"compileHits\":0},\"cells\":[\n"
+    "{\"benchmark\":\"gzip\",\"technique\":\"baseline\",\"family\":\"baseline\""
+    ",\"generateSeconds\":0,\"stats\":{\"cycles\":1306,\"committed\":2001,\""
+    "fetched\":2003,\"dispatched\":2011,\"issued\":2006,\"hintsApplied\":0"
+    ",\"branchMispredicts\":2,\"frontRedirects\":1,\"condBranches\":173,\""
+    "dispatchStallRob\":0,\"dispatchStallIqFull\":1056,\"dispatchStallR"
+    "ange\":0,\"dispatchStallLimit\":0,\"dispatchStallRegs\":0,\"dispatch"
+    "StallLsq\":0,\"loads\":350,\"stores\":174,\"loadForwards\":0,\"rfIntRe"
+    "ads\":2535,\"rfIntWrites\":1571,\"rfFpReads\":0,\"rfFpWrites\":0,\"rfI"
+    "ntLiveSum\":126495,\"rfIntPoweredBankCycles\":18132,\"rfIntBankCyc"
+    "les\":18284,\"rfFpLiveSum\":41792,\"rfFpPoweredBankCycles\":5224,\"r"
+    "fFpBankCycles\":18284},\"iq\":{\"broadcasts\":1571,\"cmpGated\":36238"
+    ",\"cmpPowered\":175424,\"cmpConventional\":251360,\"dispatchWrites\""
+    ":2011,\"issueReads\":2006,\"poweredBankCycles\":6964,\"totalBankCyc"
+    "les\":13060,\"occupancySum\":16345,\"cycles\":1306},\"compile\":{\"pro"
+    "ceduresAnalyzed\":0,\"blocksAnalyzed\":0,\"loopsAnalyzed\":0,\"hintN"
+    "oopsInserted\":0,\"tagsApplied\":0,\"hintsElided\":0,\"seconds\":0}},"
+    "\n"
+    "{\"benchmark\":\"gzip\",\"technique\":\"noop\",\"family\":\"noop\",\"genera"
+    "teSeconds\":0,\"stats\":{\"cycles\":1666,\"committed\":2000,\"fetched\""
+    ":2001,\"dispatched\":2000,\"issued\":2012,\"hintsApplied\":0,\"branch"
+    "Mispredicts\":2,\"frontRedirects\":1,\"condBranches\":173,\"dispatch"
+    "StallRob\":0,\"dispatchStallIqFull\":0,\"dispatchStallRange\":1426,"
+    "\"dispatchStallLimit\":0,\"dispatchStallRegs\":0,\"dispatchStallLsq"
+    "\":0,\"loads\":350,\"stores\":172,\"loadForwards\":0,\"rfIntReads\":255"
+    "0,\"rfIntWrites\":1577,\"rfFpReads\":0,\"rfFpWrites\":0,\"rfIntLiveSu"
+    "m\":154648,\"rfIntPoweredBankCycles\":21640,\"rfIntBankCycles\":233"
+    "24,\"rfFpLiveSum\":53312,\"rfFpPoweredBankCycles\":6664,\"rfFpBankC"
+    "ycles\":23324},\"iq\":{\"broadcasts\":1577,\"cmpGated\":35720,\"cmpPow"
+    "ered\":165104,\"cmpConventional\":252320,\"dispatchWrites\":2000,\"i"
+    "ssueReads\":2012,\"poweredBankCycles\":7836,\"totalBankCycles\":166"
+    "60,\"occupancySum\":18585,\"cycles\":1666},\"compile\":{\"proceduresA"
+    "nalyzed\":1,\"blocksAnalyzed\":10,\"loopsAnalyzed\":2,\"hintNoopsIns"
+    "erted\":4,\"tagsApplied\":0,\"hintsElided\":0,\"seconds\":0}}\n"
+    "]}\n";
+
+/** A figure bench's non-canonical export of the same version (gzip
+ *  under baseline, noop and abella). */
+const char *const oldSweepExport =
+    "{\"benchmarks\":[\"gzip\"],\"techniques\":[\"baseline\",\"noop\",\"abella"
+    "\"],\"jobs\":1,\"wallSeconds\":0.0056614680000000002,\"cache\":{\"work"
+    "loadBuilds\":1,\"workloadHits\":2,\"compileBuilds\":1,\"compileHits\""
+    ":0,\"traceBuilds\":2,\"traceHits\":1,\"traceEvicted\":0,\"traceBytes\""
+    ":393216},\"cells\":[\n"
+    "{\"benchmark\":\"gzip\",\"technique\":\"baseline\",\"family\":\"baseline\""
+    ",\"generateSeconds\":0.00022288200000000001,\"traceSeconds\":0.000"
+    "40914899999999998,\"stats\":{\"cycles\":1306,\"committed\":2001,\"fet"
+    "ched\":2003,\"dispatched\":2011,\"issued\":2006,\"hintsApplied\":0,\"b"
+    "ranchMispredicts\":2,\"frontRedirects\":1,\"condBranches\":173,\"dis"
+    "patchStallRob\":0,\"dispatchStallIqFull\":1056,\"dispatchStallRang"
+    "e\":0,\"dispatchStallLimit\":0,\"dispatchStallRegs\":0,\"dispatchSta"
+    "llLsq\":0,\"loads\":350,\"stores\":174,\"loadForwards\":0,\"rfIntReads"
+    "\":2535,\"rfIntWrites\":1571,\"rfFpReads\":0,\"rfFpWrites\":0,\"rfIntL"
+    "iveSum\":126495,\"rfIntPoweredBankCycles\":18132,\"rfIntBankCycles"
+    "\":18284,\"rfFpLiveSum\":41792,\"rfFpPoweredBankCycles\":5224,\"rfFp"
+    "BankCycles\":18284},\"iq\":{\"broadcasts\":1571,\"cmpGated\":36238,\"c"
+    "mpPowered\":175424,\"cmpConventional\":251360,\"dispatchWrites\":20"
+    "11,\"issueReads\":2006,\"poweredBankCycles\":6964,\"totalBankCycles"
+    "\":13060,\"occupancySum\":16345,\"cycles\":1306},\"compile\":{\"proced"
+    "uresAnalyzed\":0,\"blocksAnalyzed\":0,\"loopsAnalyzed\":0,\"hintNoop"
+    "sInserted\":0,\"tagsApplied\":0,\"hintsElided\":0,\"seconds\":0}},\n"
+    "{\"benchmark\":\"gzip\",\"technique\":\"noop\",\"family\":\"noop\",\"genera"
+    "teSeconds\":0.00022288200000000001,\"traceSeconds\":0.000346454,\""
+    "compileSeconds\":0.00062688000000000002,\"stats\":{\"cycles\":1666,"
+    "\"committed\":2000,\"fetched\":2001,\"dispatched\":2000,\"issued\":201"
+    "2,\"hintsApplied\":0,\"branchMispredicts\":2,\"frontRedirects\":1,\"c"
+    "ondBranches\":173,\"dispatchStallRob\":0,\"dispatchStallIqFull\":0,"
+    "\"dispatchStallRange\":1426,\"dispatchStallLimit\":0,\"dispatchStal"
+    "lRegs\":0,\"dispatchStallLsq\":0,\"loads\":350,\"stores\":172,\"loadFo"
+    "rwards\":0,\"rfIntReads\":2550,\"rfIntWrites\":1577,\"rfFpReads\":0,\""
+    "rfFpWrites\":0,\"rfIntLiveSum\":154648,\"rfIntPoweredBankCycles\":2"
+    "1640,\"rfIntBankCycles\":23324,\"rfFpLiveSum\":53312,\"rfFpPoweredB"
+    "ankCycles\":6664,\"rfFpBankCycles\":23324},\"iq\":{\"broadcasts\":157"
+    "7,\"cmpGated\":35720,\"cmpPowered\":165104,\"cmpConventional\":25232"
+    "0,\"dispatchWrites\":2000,\"issueReads\":2012,\"poweredBankCycles\":"
+    "7836,\"totalBankCycles\":16660,\"occupancySum\":18585,\"cycles\":166"
+    "6},\"compile\":{\"proceduresAnalyzed\":1,\"blocksAnalyzed\":10,\"loop"
+    "sAnalyzed\":2,\"hintNoopsInserted\":4,\"tagsApplied\":0,\"hintsElide"
+    "d\":0,\"seconds\":0.00062688000000000002}},\n"
+    "{\"benchmark\":\"gzip\",\"technique\":\"abella\",\"family\":\"abella\",\"ge"
+    "nerateSeconds\":0.00022288200000000001,\"stats\":{\"cycles\":1306,\""
+    "committed\":2001,\"fetched\":2003,\"dispatched\":2011,\"issued\":2006"
+    ",\"hintsApplied\":0,\"branchMispredicts\":2,\"frontRedirects\":1,\"co"
+    "ndBranches\":173,\"dispatchStallRob\":0,\"dispatchStallIqFull\":105"
+    "6,\"dispatchStallRange\":0,\"dispatchStallLimit\":0,\"dispatchStall"
+    "Regs\":0,\"dispatchStallLsq\":0,\"loads\":350,\"stores\":174,\"loadFor"
+    "wards\":0,\"rfIntReads\":2535,\"rfIntWrites\":1571,\"rfFpReads\":0,\"r"
+    "fFpWrites\":0,\"rfIntLiveSum\":126495,\"rfIntPoweredBankCycles\":18"
+    "132,\"rfIntBankCycles\":18284,\"rfFpLiveSum\":41792,\"rfFpPoweredBa"
+    "nkCycles\":5224,\"rfFpBankCycles\":18284},\"iq\":{\"broadcasts\":1571"
+    ",\"cmpGated\":36238,\"cmpPowered\":175424,\"cmpConventional\":251360"
+    ",\"dispatchWrites\":2011,\"issueReads\":2006,\"poweredBankCycles\":6"
+    "964,\"totalBankCycles\":13060,\"occupancySum\":16345,\"cycles\":1306"
+    "},\"compile\":{\"proceduresAnalyzed\":0,\"blocksAnalyzed\":0,\"loopsA"
+    "nalyzed\":0,\"hintNoopsInserted\":0,\"tagsApplied\":0,\"hintsElided\""
+    ":0,\"seconds\":0}}\n"
+    "]}\n";
+
+/** The tiny grid the old checkpoints and canonical export came from. */
+sim::SweepSpec
+oldGridSpec()
+{
+    sim::SweepSpec spec;
+    spec.benchmarks = {"gzip"};
+    spec.techniques = {"baseline", "noop"};
+    spec.base.workload.repDivisor = 40;
+    spec.base.warmupInsts = 500;
+    spec.base.measureInsts = 2000;
+    spec.seeds = 1;
+    spec.jobs = 1;
+    return spec;
+}
+
+TEST(OldExports, CheckpointPayloadsWithTraceKeysStillRead)
+{
+    const auto c0 = sim::cellCheckpointFromJson(oldCell0);
+    const auto c1 = sim::cellCheckpointFromJson(oldCell1);
+    EXPECT_EQ(c0.index, 0u);
+    EXPECT_EQ(c1.index, 1u);
+    EXPECT_EQ(c0.cell.technique, "baseline");
+    EXPECT_EQ(c1.cell.technique, "noop");
+    EXPECT_EQ(c0.cell.stats.cycles, 1306u);
+    EXPECT_EQ(c1.cell.compile.hintNoopsInserted, 4u);
+    EXPECT_GT(c1.cell.compileSeconds, 0.0);
+
+    const sim::SweepCacheStats cache =
+        sim::cacheStatsFromJson(oldCacheJson);
+    EXPECT_EQ(cache.workloadBuilds, 1u);
+    EXPECT_EQ(cache.workloadHits, 1u);
+    EXPECT_EQ(cache.compileBuilds, 1u);
+    EXPECT_EQ(cache.compileHits, 0u);
+
+    // the old cells fold into the old canonical export, byte for byte
+    sim::SweepResult merged;
+    merged.benchmarks = {"gzip"};
+    merged.techniques = {"baseline", "noop"};
+    merged.cells = {c0.cell, c1.cell};
+    merged.cache = cache;
+    EXPECT_EQ(jsonOf(merged), oldCanonicalExport);
+}
+
+TEST(OldExports, SweepExportWithTraceKeysStillReads)
+{
+    std::istringstream is(oldSweepExport);
+    const sim::SweepResult old = sim::readJson(is);
+    ASSERT_EQ(old.cells.size(), 3u);
+    EXPECT_EQ(old.techniques,
+              (std::vector<std::string>{"baseline", "noop", "abella"}));
+    EXPECT_EQ(old.cache.workloadBuilds, 1u);
+    EXPECT_EQ(old.cache.workloadHits, 2u);
+    EXPECT_EQ(old.at("baseline", 0).stats.cycles, 1306u);
+    EXPECT_GT(old.at("noop", 0).generateSeconds, 0.0);
+
+    // written back, the ignored keys are gone
+    std::ostringstream os;
+    sim::writeJson(os, old);
+    EXPECT_EQ(os.str().find("trace"), std::string::npos);
+}
+
+TEST(OldExports, CurrentSimulatorReproducesOldCanonicalExport)
+{
+    sim::ExperimentRunner runner;
+    EXPECT_EQ(jsonOf(runner.run(oldGridSpec())), oldCanonicalExport);
 }
 
 } // namespace

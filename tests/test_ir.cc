@@ -1,12 +1,17 @@
-/** @file IR tests: CFG building, exec semantics, dominators, loops,
- *  DDG construction and SCC discovery. */
+/** @file IR tests: CFG building, exec semantics, the copy-on-write
+ *  memory image, dominators, loops, DDG construction and SCC
+ *  discovery. */
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
+#include "cpu/core.hh"
 #include "ir/cfg.hh"
 #include "ir/ddg.hh"
 #include "ir/exec.hh"
 #include "workloads/builder.hh"
+#include "workloads/family.hh"
 
 namespace siq
 {
@@ -129,6 +134,181 @@ TEST(Exec, AddressesWrapModuloMemory)
     while (!ctx.halted())
         ctx.step();
     EXPECT_EQ(ctx.readMem(3), 77);
+}
+
+// ------------------------------------------ copy-on-write memory image
+
+/** memInit applied to zeroed memory, computed independently of
+ *  Program::initialMemory(). */
+std::vector<std::int64_t>
+expectedImage(const Program &prog)
+{
+    std::vector<std::int64_t> mem(prog.memWords, 0);
+    const auto size = static_cast<std::int64_t>(prog.memWords);
+    for (const auto &[addr, value] : prog.memInit)
+        mem[static_cast<std::size_t>(
+            ((static_cast<std::int64_t>(addr) % size) + size) % size)] =
+            value;
+    return mem;
+}
+
+/** One small program per registered family. */
+std::vector<Program>
+everyFamily()
+{
+    workloads::WorkloadParams wp;
+    wp.repDivisor = 40;
+    std::vector<Program> progs;
+    for (const std::string &name : workloads::familyNames())
+        progs.push_back(workloads::generate(name, wp));
+    return progs;
+}
+
+/** Words where @p ctx's memory differs from @p image. */
+std::size_t
+wordsDiffering(const ExecContext &ctx,
+               const std::vector<std::int64_t> &image)
+{
+    std::size_t n = 0;
+    for (std::uint64_t w = 0; w < image.size(); w++)
+        n += ctx.readMem(w) != image[w] ? 1 : 0;
+    return n;
+}
+
+TEST(CopyOnWrite, FreshContextReadsTheInitialImage)
+{
+    for (const Program &prog : everyFamily()) {
+        const auto image = expectedImage(prog);
+        const ExecContext ctx(prog);
+        EXPECT_EQ(wordsDiffering(ctx, image), 0u) << prog.name;
+        EXPECT_EQ(prog.initialMemory(), image) << prog.name;
+    }
+}
+
+TEST(CopyOnWrite, StoresNeverLeakIntoTheSharedImage)
+{
+    std::size_t familiesThatStored = 0;
+    for (const Program &prog : everyFamily()) {
+        const auto image = expectedImage(prog);
+        ExecContext writer(prog);
+        for (int i = 0; i < 20000 && !writer.halted(); i++)
+            writer.step();
+        familiesThatStored += wordsDiffering(writer, image) > 0 ? 1 : 0;
+
+        // a context made after the stores still sees pristine pages,
+        // and so does an annotated-style copy of the program
+        const ExecContext fresh(prog);
+        EXPECT_EQ(wordsDiffering(fresh, image), 0u) << prog.name;
+        Program copy = prog;
+        copy.finalize();
+        const ExecContext fromCopy(copy);
+        EXPECT_EQ(wordsDiffering(fromCopy, image), 0u) << prog.name;
+        EXPECT_EQ(copy.initialMemory().data(),
+                  prog.initialMemory().data())
+            << prog.name << ": a copy with unchanged memory shares it";
+    }
+    EXPECT_GT(familiesThatStored, 0u);
+}
+
+TEST(CopyOnWrite, ChangedMemoryGetsItsOwnImage)
+{
+    const Program original = straightLine();
+    Program prog = original;
+    prog.memInit.emplace_back(7, 42);
+    prog.finalize();
+    EXPECT_NE(prog.initialMemory().data(),
+              original.initialMemory().data());
+    EXPECT_EQ(ExecContext(prog).readMem(7), 42);
+    EXPECT_EQ(ExecContext(original).readMem(7), 0);
+}
+
+TEST(CopyOnWrite, PartialLastPageAndNegativeAddressesWrap)
+{
+    // 1000 words: not a power of two, and the last page is partial
+    ProgramBuilder b("pages", 1000);
+    b.newProc("main");
+    b.emit(makeMovImm(1, 999));
+    b.emit(makeMovImm(2, 11));
+    b.emit(makeStore(1, 2, 0)); // last word
+    b.emit(makeMovImm(1, -1));
+    b.emit(makeMovImm(2, 22));
+    b.emit(makeStore(1, 2, -1)); // -2 wraps to word 998
+    b.emit(makeMovImm(1, 511));
+    b.emit(makeMovImm(2, 33));
+    b.emit(makeStore(1, 2, 0)); // last word of page 0
+    b.emit(makeStore(1, 2, 1)); // first word of page 1
+    b.emit(makeLoad(3, 1, 489)); // word 1000 wraps to word 0
+    b.emit(makeHalt());
+    Program prog = b.build();
+    prog.memInit.emplace_back(0, 5);
+    prog.finalize();
+    ExecContext ctx(prog);
+    while (!ctx.halted())
+        ctx.step();
+    EXPECT_EQ(ctx.readMem(999), 11);
+    EXPECT_EQ(ctx.readMem(998), 22);
+    EXPECT_EQ(ctx.readMem(511), 33);
+    EXPECT_EQ(ctx.readMem(512), 33);
+    EXPECT_EQ(ctx.intReg(3), 5);
+    EXPECT_EQ(ExecContext(prog).readMem(999), 0);
+}
+
+TEST(CopyOnWrite, ConcurrentInterpretersOfOneProgramAgree)
+{
+    workloads::WorkloadParams wp;
+    wp.repDivisor = 40;
+    for (const char *name : {"specfp", "mcf", "phased"}) {
+        // the image is built by whichever thread gets there first
+        const Program prog = workloads::generate(name, wp);
+        constexpr int nthreads = 4;
+        std::vector<std::unique_ptr<ExecContext>> ctxs(nthreads);
+        std::vector<std::thread> pool;
+        for (int t = 0; t < nthreads; t++) {
+            pool.emplace_back([&, t] {
+                ctxs[t] = std::make_unique<ExecContext>(prog);
+                for (int i = 0; i < 50000 && !ctxs[t]->halted(); i++)
+                    ctxs[t]->step();
+            });
+        }
+        for (auto &th : pool)
+            th.join();
+        const ExecContext &ref = *ctxs[0];
+        for (int t = 1; t < nthreads; t++) {
+            const ExecContext &c = *ctxs[t];
+            EXPECT_EQ(c.instsExecuted(), ref.instsExecuted()) << name;
+            for (int r = 0; r < numIntArchRegs; r++)
+                EXPECT_EQ(c.intReg(r), ref.intReg(r)) << name << " r" << r;
+            for (int r = 0; r < numFpArchRegs; r++)
+                EXPECT_EQ(c.fpReg(r), ref.fpReg(r)) << name << " f" << r;
+            for (std::uint64_t w = 0; w < prog.memWords; w++)
+                ASSERT_EQ(c.readMem(w), ref.readMem(w)) << name << " @" << w;
+        }
+        EXPECT_GT(wordsDiffering(ref, expectedImage(prog)), 0u) << name;
+    }
+}
+
+TEST(CopyOnWrite, CoreExecIsValidOnEveryCore)
+{
+    for (const Program &prog : everyFamily()) {
+        for (const bool spec : {false, true}) {
+            CoreConfig cfg;
+            cfg.specFrontEnd = spec;
+            Core core(prog, cfg);
+            const std::uint64_t committed = core.run(5000);
+            const ExecContext &ctx = core.exec();
+            // execute-at-fetch: the interpreter is at or ahead of commit
+            EXPECT_GE(ctx.instsExecuted(), committed) << prog.name;
+            // and in the state a standalone interpreter reaches after
+            // as many steps
+            ExecContext ref(prog);
+            while (ref.instsExecuted() < ctx.instsExecuted())
+                ref.step();
+            for (int r = 0; r < numIntArchRegs; r++)
+                EXPECT_EQ(ctx.intReg(r), ref.intReg(r)) << prog.name;
+            for (std::uint64_t w = 0; w < prog.memWords; w++)
+                ASSERT_EQ(ctx.readMem(w), ref.readMem(w)) << prog.name;
+        }
+    }
 }
 
 TEST(Program, FinalizeBuildsCfgEdges)

@@ -2,13 +2,14 @@
  * @file
  * Tests for the experiment engine: the technique registry, the
  * threaded sweep runner's determinism (bit-identical to serial
- * runOne), exact cache accounting, and JSON/CSV round-tripping.
+ * runOne), exact cache accounting, JSON round-tripping and the CSV
+ * export's shape.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
-#include <set>
 #include <sstream>
 
 #include "common/stats.hh"
@@ -356,11 +357,12 @@ TEST(Replication, SeedsZeroDefersToEnvironment)
     EXPECT_TRUE(unset.aggregates.empty());
 }
 
-/** The trace-replay grid: every built-in technique over structurally
- *  diverse workload families (loops, FP, calls, phase changes), with
- *  replica seeds so replay covers decorrelated workloads too. */
-sim::SweepSpec
-traceSpec()
+/** Every cell of one program shares its copy-on-write memory image
+ *  (raw and annotated programs alike) while threads interpret it
+ *  concurrently; each cell must still match a serial runOne, which
+ *  builds a private program and image. The families cover loops, FP
+ *  stores, calls and phase changes, with replicas in flight too. */
+TEST(ExperimentRunner, SharedMemoryImagesMatchPrivatePrograms)
 {
     sim::SweepSpec spec;
     spec.benchmarks = {"gzip", "specfp", "server", "phased"};
@@ -371,91 +373,17 @@ traceSpec()
     spec.base.measureInsts = 10000;
     spec.seeds = 2;
     spec.jobs = 4;
-    return spec;
-}
-
-/** Randomized end-to-end equivalence: a sweep replaying shared
- *  functional traces (the default) must export canonical JSON
- *  byte-identical to the same sweep interpreting every cell directly
- *  (SIQSIM_TRACE=0). */
-TEST(TraceReplay, ByteIdenticalToDirectInterpretation)
-{
-    const auto spec = traceSpec();
-    sim::ExperimentRunner replayRunner; // tracing is on by default
-    const auto replayed = replayRunner.run(spec);
-    EXPECT_GT(replayed.cache.traceBuilds, 0u);
-    EXPECT_GT(replayed.cache.traceBytes, 0u);
-
-    ASSERT_EQ(setenv("SIQSIM_TRACE", "0", 1), 0);
-    sim::ExperimentRunner directRunner; // env is read at construction
-    ASSERT_EQ(unsetenv("SIQSIM_TRACE"), 0);
-    const auto direct = directRunner.run(spec);
-    EXPECT_EQ(direct.cache.traceBuilds, 0u);
-    EXPECT_EQ(direct.cache.traceBytes, 0u);
-
-    EXPECT_EQ(jsonOf(normalized(replayed)), jsonOf(normalized(direct)))
-        << "trace replay changed simulated behavior";
-}
-
-/** Exact accounting: one trace build per distinct annotated-program
- *  content, one hit for every other (cell, replica); the distinct set
- *  is recomputed here independently of the cache. */
-TEST(TraceReplay, CacheAccountingMatchesDistinctPrograms)
-{
-    const auto spec = traceSpec();
     sim::ExperimentRunner runner;
     const auto sweep = runner.run(spec);
 
-    std::set<std::uint64_t> distinct;
-    std::uint64_t gets = 0;
-    for (const auto &bench : spec.benchmarks) {
-        for (int rep = 0; rep < spec.seeds; rep++) {
-            auto wp = spec.base.workload;
-            if (rep > 0) {
-                wp.seed =
-                    sim::ExperimentRunner::mixSeed(wp.seed, rep, 0);
-            }
-            const Program raw = workloads::generate(bench, wp);
-            for (const auto &tech : spec.techniques) {
-                sim::RunConfig cfg = spec.base;
-                cfg.tech = *sim::techniqueFromName(tech);
-                gets++;
-                const auto cc = sim::compilerConfigFor(cfg.tech, cfg);
-                if (cc) {
-                    Program annotated = raw;
-                    compiler::annotate(annotated, *cc);
-                    distinct.insert(annotated.contentHash);
-                } else {
-                    distinct.insert(raw.contentHash);
-                }
-            }
+    for (std::size_t t = 0; t < spec.techniques.size(); t++) {
+        for (std::size_t b = 0; b < spec.benchmarks.size(); b++) {
+            const auto serial = sim::runOne(spec.benchmarks[b],
+                                            spec.techniques[t], spec.base);
+            EXPECT_TRUE(sim::identicalMeasurement(serial, sweep.at(t, b)))
+                << spec.benchmarks[b] << "/" << spec.techniques[t];
         }
     }
-    EXPECT_EQ(sweep.cache.traceBuilds, distinct.size());
-    EXPECT_EQ(sweep.cache.traceHits, gets - distinct.size());
-    EXPECT_EQ(sweep.cache.traceEvicted, 0u);
-    EXPECT_GT(sweep.cache.traceBytes, 0u);
-}
-
-/** An over-subscribed byte cap evicts instead of growing without
- *  bound, and eviction (rebuilding traces) never changes results. */
-TEST(TraceReplay, CacheRespectsByteCapUnderOverCapSweep)
-{
-    auto spec = traceSpec();
-    spec.jobs = 1; // deterministic LRU order and final resident set
-
-    ASSERT_EQ(setenv("SIQSIM_TRACE_CACHE_MB", "1", 1), 0);
-    sim::ExperimentRunner capped;
-    ASSERT_EQ(unsetenv("SIQSIM_TRACE_CACHE_MB"), 0);
-    const auto sweep = capped.run(spec);
-    EXPECT_GT(sweep.cache.traceEvicted, 0u);
-    EXPECT_LE(sweep.cache.traceBytes, 1ull << 20);
-
-    sim::ExperimentRunner unbounded;
-    const auto reference = unbounded.run(spec);
-    EXPECT_EQ(reference.cache.traceEvicted, 0u);
-    EXPECT_EQ(jsonOf(normalized(sweep)), jsonOf(normalized(reference)))
-        << "trace eviction changed simulated behavior";
 }
 
 class ReportRoundTrip : public ::testing::Test
@@ -503,12 +431,48 @@ TEST_F(ReportRoundTrip, Json)
     EXPECT_EQ(back.wallSeconds, sweep.wallSeconds);
 }
 
-TEST_F(ReportRoundTrip, Csv)
+/** CSV rows of @p csv after the header, which goes to @p header. */
+std::vector<std::string>
+csvRows(const std::string &csv, std::string &header)
+{
+    std::istringstream is(csv);
+    std::getline(is, header);
+    std::vector<std::string> rows;
+    for (std::string line; std::getline(is, line);) {
+        if (!line.empty())
+            rows.push_back(line);
+    }
+    return rows;
+}
+
+std::size_t
+columns(const std::string &line)
+{
+    return static_cast<std::size_t>(
+               std::count(line.begin(), line.end(), ',')) +
+           1;
+}
+
+TEST_F(ReportRoundTrip, CsvHasOneFullWidthRowPerCell)
 {
     std::stringstream ss;
     sim::writeCsv(ss, sweep);
-    const auto back = sim::readCsv(ss);
-    expectFullyEqual(sweep, back);
+    std::string header;
+    const auto rows = csvRows(ss.str(), header);
+    EXPECT_EQ(header.rfind("benchmark,technique,family,generateSeconds,"
+                           "compileSeconds,stats_cycles,",
+                           0),
+              0u)
+        << header;
+    ASSERT_EQ(rows.size(), sweep.cells.size());
+    for (std::size_t i = 0; i < rows.size(); i++) {
+        EXPECT_EQ(columns(rows[i]), columns(header)) << "row " << i;
+        EXPECT_EQ(rows[i].rfind(sweep.cells[i].benchmark + "," +
+                                    sweep.cells[i].technique + ",",
+                                0),
+                  0u)
+            << rows[i];
+    }
 }
 
 TEST_F(ReportRoundTrip, PowerCsvHasEveryNonBaselineCell)
@@ -574,16 +538,19 @@ TEST_F(ReplicatedRoundTrip, JsonPreservesAggregatesExactly)
     }
 }
 
-TEST_F(ReplicatedRoundTrip, CsvPreservesAggregatesExactly)
+TEST_F(ReplicatedRoundTrip, CsvCarriesAggregateColumnsPerCell)
 {
     std::stringstream ss;
     sim::writeCsv(ss, sweep);
-    const auto back = sim::readCsv(ss);
-    EXPECT_EQ(back.seeds, 3);
-    ASSERT_EQ(back.aggregates.size(), sweep.aggregates.size());
-    for (std::size_t i = 0; i < sweep.aggregates.size(); i++)
-        EXPECT_EQ(back.aggregates[i], sweep.aggregates[i])
-            << "cell " << i;
+    std::string header;
+    const auto rows = csvRows(ss.str(), header);
+    EXPECT_NE(header.find(",n,ipc_mean,ipc_stddev,ipc_ci95,"),
+              std::string::npos)
+        << header;
+    EXPECT_NE(header.find(",stats_cycles_ci95,"), std::string::npos);
+    ASSERT_EQ(rows.size(), sweep.cells.size());
+    for (const auto &row : rows)
+        EXPECT_EQ(columns(row), columns(header)) << row;
 }
 
 TEST_F(ReplicatedRoundTrip, AggregateLookupByTechniqueName)
