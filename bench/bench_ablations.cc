@@ -6,14 +6,15 @@
  *  A3 redundant-hint elision on/off (NOOP-count and IPC effect);
  *  A4 the Folegnani&González resizer next to ours and abella.
  *
- * Every ablation variant is a registered technique (sim/technique.hh)
- * swept through one shared ExperimentRunner, so the three-benchmark
- * subset is synthesized once for the whole binary and the cells run
- * in parallel. Run on a subset to keep the binary quick.
+ * Every ablation variant is a plain config change — a sweep over a
+ * different base RunConfig (minHint, core.iq.bankSize,
+ * elideRedundant) — so each is also an ordinary spec for `siqsim run`.
+ * All sweeps share one ExperimentRunner, so the three-benchmark subset
+ * is synthesized once for the whole binary and the cells run in
+ * parallel. Run on a subset to keep the binary quick.
  */
 
 #include <functional>
-#include <memory>
 
 #include "bench/common.hh"
 
@@ -31,24 +32,6 @@ quickCfg()
     cfg.warmupInsts = bench::envOr("SIQSIM_WARMUP", 80000);
     cfg.measureInsts = bench::envOr("SIQSIM_MEASURE", 250000);
     return cfg;
-}
-
-/** A noop-scheme variant with one compiler knob changed. */
-sim::TechniqueDef
-noopVariant(const std::string &name, const std::string &summary,
-            const std::function<void(compiler::CompilerConfig &)> &tweak)
-{
-    return {
-        name,
-        sim::Technique::Noop,
-        summary,
-        [tweak](const sim::RunConfig &cfg) {
-            auto cc = *sim::compilerConfigFor(sim::Technique::Noop, cfg);
-            tweak(cc);
-            return std::optional(cc);
-        },
-        nullptr,
-    };
 }
 
 sim::SweepResult
@@ -72,29 +55,25 @@ clampSweep(sim::ExperimentRunner &runner)
                   "larger floors trade power savings for IPC safety");
 
     const std::vector<int> floors = {4, 8, 12, 16};
-    std::vector<std::unique_ptr<sim::ScopedTechnique>> variants;
-    std::vector<std::string> techniques = {"baseline"};
+    // the floor is a compiler knob: baseline runs once, the noop
+    // scheme once per floor (one compiled program each)
+    const auto base = runSubset(runner, {"baseline"});
+    std::vector<sim::SweepResult> sweeps;
     for (int floor : floors) {
-        const std::string name =
-            "noop-floor" + std::to_string(floor);
-        variants.push_back(std::make_unique<sim::ScopedTechnique>(
-            noopVariant(name, "noop with minHint floor",
-                        [floor](compiler::CompilerConfig &cc) {
-                            cc.minHint = floor;
-                        })));
-        techniques.push_back(name);
+        sweeps.push_back(runSubset(runner, {"noop"},
+                                   [floor](sim::RunConfig &cfg) {
+                                       cfg.minHint = floor;
+                                   }));
     }
-
-    const auto sweep = runSubset(runner, techniques);
 
     Table t({"benchmark", "floor", "IPC loss", "IQ dyn saving"});
     for (std::size_t b = 0; b < subset.size(); b++) {
-        const auto &base = sweep.at("baseline", b);
+        const auto &baseline = base.at("baseline", b);
         for (std::size_t f = 0; f < floors.size(); f++) {
-            const auto &r = sweep.at(techniques[f + 1], b);
-            const auto cmp = sim::comparePower(base, r);
+            const auto &r = sweeps[f].at("noop", b);
+            const auto cmp = sim::comparePower(baseline, r);
             t.addRow({subset[b], std::to_string(floors[f]),
-                      Table::pct(bench::ipcLoss(base, r)),
+                      Table::pct(bench::ipcLoss(baseline, r)),
                       Table::pct(cmp.iqDynamicSaving)});
         }
     }
@@ -142,22 +121,18 @@ elisionAblation(sim::ExperimentRunner &runner)
                   "elision removes NOOPs whose value matches the "
                   "incoming range");
 
-    sim::ScopedTechnique noElide(noopVariant(
-        "noop-noelide", "noop without redundant-hint elision",
-        [](compiler::CompilerConfig &cc) {
-            cc.elideRedundant = false;
-        }));
-
-    const auto sweep =
-        runSubset(runner, {"baseline", "noop", "noop-noelide"});
+    const auto sweep = runSubset(runner, {"baseline", "noop"});
+    const auto noElide =
+        runSubset(runner, {"noop"}, [](sim::RunConfig &cfg) {
+            cfg.elideRedundant = false;
+        });
 
     Table t({"benchmark", "elide", "hint noops", "IPC loss"});
     for (std::size_t b = 0; b < subset.size(); b++) {
         const auto &base = sweep.at("baseline", b);
-        for (const char *tech : {"noop", "noop-noelide"}) {
-            const auto &r = sweep.at(tech, b);
-            t.addRow({subset[b],
-                      std::string(tech) == "noop" ? "on" : "off",
+        for (const auto *s : {&sweep, &noElide}) {
+            const auto &r = s->at("noop", b);
+            t.addRow({subset[b], s == &sweep ? "on" : "off",
                       std::to_string(r.compile.hintNoopsInserted),
                       Table::pct(bench::ipcLoss(base, r))});
         }

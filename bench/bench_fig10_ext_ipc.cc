@@ -18,22 +18,16 @@ main()
                   "abella 3.1%");
 
     const auto m = bench::runMatrix(
-        {sim::Technique::Baseline, sim::Technique::Noop,
-         sim::Technique::Extension, sim::Technique::Improved,
-         sim::Technique::Abella});
+        {"baseline", "noop", "extension", "improved", "abella"});
 
     Table t({"benchmark", "noop", "extension", "improved", "abella"});
     std::vector<double> n, e, im, a;
     for (std::size_t i = 0; i < m.benches.size(); i++) {
-        const auto &base = m.at(sim::Technique::Baseline, i);
-        const double ln =
-            bench::ipcLoss(base, m.at(sim::Technique::Noop, i));
-        const double le =
-            bench::ipcLoss(base, m.at(sim::Technique::Extension, i));
-        const double li =
-            bench::ipcLoss(base, m.at(sim::Technique::Improved, i));
-        const double la =
-            bench::ipcLoss(base, m.at(sim::Technique::Abella, i));
+        const auto &base = m.at("baseline", i);
+        const double ln = bench::ipcLoss(base, m.at("noop", i));
+        const double le = bench::ipcLoss(base, m.at("extension", i));
+        const double li = bench::ipcLoss(base, m.at("improved", i));
+        const double la = bench::ipcLoss(base, m.at("abella", i));
         n.push_back(ln);
         e.push_back(le);
         im.push_back(li);

@@ -16,19 +16,15 @@ main()
     bench::header("Figure 11: IQ power savings, Extension & Improved",
                   "both ~45% dynamic / 30% static");
 
-    const auto m = bench::runMatrix(
-        {sim::Technique::Baseline, sim::Technique::Extension,
-         sim::Technique::Improved});
+    const auto m = bench::runMatrix({"baseline", "extension", "improved"});
 
     Table t({"benchmark", "ext dyn", "ext stat", "imp dyn",
              "imp stat"});
     std::vector<double> ed, es, id, is, erf, irf;
     for (std::size_t i = 0; i < m.benches.size(); i++) {
-        const auto &base = m.at(sim::Technique::Baseline, i);
-        const auto ce = sim::comparePower(
-            base, m.at(sim::Technique::Extension, i));
-        const auto ci = sim::comparePower(
-            base, m.at(sim::Technique::Improved, i));
+        const auto &base = m.at("baseline", i);
+        const auto ce = sim::comparePower(base, m.at("extension", i));
+        const auto ci = sim::comparePower(base, m.at("improved", i));
         ed.push_back(ce.iqDynamicSaving);
         es.push_back(ce.iqStaticSaving);
         id.push_back(ci.iqDynamicSaving);

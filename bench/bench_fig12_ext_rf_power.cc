@@ -14,19 +14,15 @@ main()
     bench::header("Figure 12: RF power savings, Extension & Improved",
                   "extension 21% dyn / 21% stat; improved 22% / 20%");
 
-    const auto m = bench::runMatrix(
-        {sim::Technique::Baseline, sim::Technique::Extension,
-         sim::Technique::Improved});
+    const auto m = bench::runMatrix({"baseline", "extension", "improved"});
 
     Table t({"benchmark", "ext dyn", "ext stat", "imp dyn",
              "imp stat"});
     std::vector<double> ed, es, id, is;
     for (std::size_t i = 0; i < m.benches.size(); i++) {
-        const auto &base = m.at(sim::Technique::Baseline, i);
-        const auto ce = sim::comparePower(
-            base, m.at(sim::Technique::Extension, i));
-        const auto ci = sim::comparePower(
-            base, m.at(sim::Technique::Improved, i));
+        const auto &base = m.at("baseline", i);
+        const auto ce = sim::comparePower(base, m.at("extension", i));
+        const auto ci = sim::comparePower(base, m.at("improved", i));
         ed.push_back(ce.rfDynamicSaving);
         es.push_back(ce.rfStaticSaving);
         id.push_back(ci.rfDynamicSaving);

@@ -14,18 +14,14 @@ main()
                   "SPECINT avg 2.2% (abella 3.1%); worst vortex 5.4%, "
                   "best mcf 0.4%");
 
-    const auto m = bench::runMatrix({sim::Technique::Baseline,
-                                     sim::Technique::Noop,
-                                     sim::Technique::Abella});
+    const auto m = bench::runMatrix({"baseline", "noop", "abella"});
 
     Table t({"benchmark", "base IPC", "noop loss", "abella loss"});
     std::vector<double> noopLoss, abellaLoss;
     for (std::size_t i = 0; i < m.benches.size(); i++) {
-        const auto &base = m.at(sim::Technique::Baseline, i);
-        const double n =
-            bench::ipcLoss(base, m.at(sim::Technique::Noop, i));
-        const double a =
-            bench::ipcLoss(base, m.at(sim::Technique::Abella, i));
+        const auto &base = m.at("baseline", i);
+        const double n = bench::ipcLoss(base, m.at("noop", i));
+        const double a = bench::ipcLoss(base, m.at("abella", i));
         noopLoss.push_back(n);
         abellaLoss.push_back(a);
         t.addRow({m.benches[i], Table::fmt(base.ipc(), 3),
@@ -40,9 +36,8 @@ main()
         std::cout << "\nreplication (n=" << m.sweep.seeds
                   << " seeds per cell), IPC mean +/- ci95:\n";
         for (std::size_t i = 0; i < m.benches.size(); i++) {
-            const auto &base =
-                m.aggAt(sim::Technique::Baseline, i).ipc;
-            const auto &noop = m.aggAt(sim::Technique::Noop, i).ipc;
+            const auto &base = m.aggAt("baseline", i).ipc;
+            const auto &noop = m.aggAt("noop", i).ipc;
             std::cout << "  " << m.benches[i] << ": baseline "
                       << Table::fmt(base.mean, 3) << " +/- "
                       << Table::fmt(base.ci95, 3) << ", noop "

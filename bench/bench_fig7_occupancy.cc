@@ -13,14 +13,13 @@ main()
     bench::header("Figure 7: IQ occupancy reduction, NOOP scheme",
                   "average 23% fewer entries occupied");
 
-    const auto m = bench::runMatrix(
-        {sim::Technique::Baseline, sim::Technique::Noop});
+    const auto m = bench::runMatrix({"baseline", "noop"});
 
     Table t({"benchmark", "base occ", "noop occ", "reduction"});
     std::vector<double> reductions;
     for (std::size_t i = 0; i < m.benches.size(); i++) {
-        const auto &base = m.at(sim::Technique::Baseline, i);
-        const auto &noop = m.at(sim::Technique::Noop, i);
+        const auto &base = m.at("baseline", i);
+        const auto &noop = m.at("noop", i);
         const double reduction =
             base.avgIqOccupancy() > 0.0
                 ? 1.0 - noop.avgIqOccupancy() / base.avgIqOccupancy()

@@ -15,17 +15,15 @@ main()
                   "dynamic 22% / static 21% (abella 14%/17%); 6.8% "
                   "fewer dispatches (abella 5.1%)");
 
-    const auto m = bench::runMatrix({sim::Technique::Baseline,
-                                     sim::Technique::Noop,
-                                     sim::Technique::Abella});
+    const auto m = bench::runMatrix({"baseline", "noop", "abella"});
 
     Table t({"benchmark", "noop dyn", "noop stat", "abella dyn",
              "abella stat"});
     std::vector<double> nd, ns, ad, as, disN, disA;
     for (std::size_t i = 0; i < m.benches.size(); i++) {
-        const auto &base = m.at(sim::Technique::Baseline, i);
-        const auto &noop = m.at(sim::Technique::Noop, i);
-        const auto &abella = m.at(sim::Technique::Abella, i);
+        const auto &base = m.at("baseline", i);
+        const auto &noop = m.at("noop", i);
+        const auto &abella = m.at("abella", i);
         const auto cn = sim::comparePower(base, noop);
         const auto ca = sim::comparePower(base, abella);
         nd.push_back(cn.rfDynamicSaving);

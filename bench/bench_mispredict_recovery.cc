@@ -25,16 +25,12 @@ main()
         "re-measured with gshare+BTB+RAS speculation, wrong-path "
         "fetch and squash recovery");
 
-    const std::vector<sim::Technique> techs = {
-        sim::Technique::Baseline,  sim::Technique::Noop,
-        sim::Technique::Extension, sim::Technique::Improved,
-        sim::Technique::Abella,    sim::Technique::Folegnani};
+    const std::vector<std::string> techs = sim::techniqueNames();
 
     auto runMode = [&](bool speculative) {
         sim::SweepSpec spec;
         spec.benchmarks = bench::suiteBenchmarks();
-        for (auto tech : techs)
-            spec.techniques.push_back(sim::techniqueName(tech));
+        spec.techniques = techs;
         spec.base = bench::defaultConfig();
         spec.base.core.specFrontEnd = speculative;
         bench::Matrix m;
@@ -55,8 +51,8 @@ main()
     for (std::size_t ti = 1; ti < techs.size(); ti++) {
         std::vector<double> dynO, dynS, lossO, lossS;
         for (std::size_t b = 0; b < nb; b++) {
-            const auto &baseO = oracle.at(sim::Technique::Baseline, b);
-            const auto &baseS = spec.at(sim::Technique::Baseline, b);
+            const auto &baseO = oracle.at("baseline", b);
+            const auto &baseS = spec.at("baseline", b);
             const auto &techO = oracle.at(techs[ti], b);
             const auto &techS = spec.at(techs[ti], b);
             dynO.push_back(
@@ -66,7 +62,7 @@ main()
             lossO.push_back(bench::ipcLoss(baseO, techO));
             lossS.push_back(bench::ipcLoss(baseS, techS));
         }
-        t.addRow({sim::techniqueName(techs[ti]),
+        t.addRow({techs[ti],
                   Table::pct(bench::mean(dynO)),
                   Table::pct(bench::mean(dynS)),
                   Table::pct(bench::mean(lossO)),
@@ -80,7 +76,7 @@ main()
              "fetch/squash"});
     std::vector<double> rate, frac, depth;
     for (std::size_t b = 0; b < nb; b++) {
-        const auto &r = spec.at(sim::Technique::Baseline, b);
+        const auto &r = spec.at("baseline", b);
         const double committed =
             static_cast<double>(r.stats.committed);
         const double cycles = static_cast<double>(r.stats.cycles);

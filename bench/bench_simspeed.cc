@@ -109,7 +109,7 @@ BENCHMARK(sweepFig8Matrix)
     ->UseRealTime();
 
 /**
- * Every registered technique × 2 seeds over four benchmarks, serial,
+ * Every technique × 2 seeds over four benchmarks, serial,
  * fresh runner per iteration: program synthesis and annotation once
  * per distinct program, then every cell interprets its program over
  * the shared copy-on-write memory image (DESIGN.md §11).

@@ -103,12 +103,6 @@ struct Matrix
     sim::SweepResult sweep;
 
     const sim::RunResult &
-    at(sim::Technique tech, std::size_t benchIdx) const
-    {
-        return sweep.at(sim::techniqueName(tech), benchIdx);
-    }
-
-    const sim::RunResult &
     at(const std::string &technique, std::size_t benchIdx) const
     {
         return sweep.at(technique, benchIdx);
@@ -118,9 +112,9 @@ struct Matrix
     bool replicated() const { return !sweep.aggregates.empty(); }
 
     const sim::CellAggregate &
-    aggAt(sim::Technique tech, std::size_t benchIdx) const
+    aggAt(const std::string &technique, std::size_t benchIdx) const
     {
-        return sweep.aggAt(sim::techniqueName(tech), benchIdx);
+        return sweep.aggAt(technique, benchIdx);
     }
 };
 
@@ -230,12 +224,11 @@ runSweep(const sim::SweepSpec &spec)
 
 /** The figure matrix: full suite × the figure's techniques. */
 inline Matrix
-runMatrix(const std::vector<sim::Technique> &techniques)
+runMatrix(const std::vector<std::string> &techniques)
 {
     sim::SweepSpec spec;
     spec.benchmarks = suiteBenchmarks();
-    for (auto tech : techniques)
-        spec.techniques.push_back(sim::techniqueName(tech));
+    spec.techniques = techniques;
     spec.base = defaultConfig();
 
     Matrix m;

@@ -3,8 +3,8 @@
  * Full statistics dump for one benchmark under one technique —
  * pipeline bottleneck analysis (fetch/dispatch/issue rates, stall
  * breakdown, cache and predictor behaviour, IQ/RF occupancy). The
- * technique is any registered name (built-in or variant); pass
- * "--json" as the last argument to also dump the run machine-readably.
+ * technique is any name in the technique table; pass "--json" as the
+ * last argument to also dump the run machine-readably.
  *
  * Usage: stats_dump [benchmark] [technique] [scale] [--json]
  */

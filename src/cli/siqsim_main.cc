@@ -10,7 +10,7 @@
  *                      the canonical single-file JSON/CSV
  *   siqsim status ...  report cells done/missing (per shard) for a
  *                      checkpoint run directory
- *   siqsim list        list benchmarks and registered techniques
+ *   siqsim list        list benchmarks and techniques
  *
  * `run` and `merge` emit *canonical* exports: scheduling and
  * wall-clock metadata are zeroed (sim::canonicalize), so the same

@@ -3,7 +3,9 @@
  * Every counter of the measurement structs, listed once, so the
  * JSON/CSV writers and readers, the determinism comparison
  * (identicalMeasurement) and the replication aggregates
- * (CellAggregate) can never drift apart field-wise.
+ * (CellAggregate) can never drift apart field-wise — and every field
+ * of the experiment config structs, listed once, so the spec writer
+ * and reader (sim/report.cc) cannot either.
  */
 
 #ifndef SIQ_SIM_FIELDS_HH
@@ -51,5 +53,54 @@
  */
 #define SIQ_RUN_TIMING_FIELDS(X)                                         \
     X(generateSeconds) X(compileSeconds)
+
+/**
+ * @name Config schema.
+ * One list per config struct, in spec-JSON key order; the member name
+ * is the JSON key. A nested struct or array is one field whose value
+ * is written through its own list. The spec writer and reader are
+ * type-overloaded over these lists (sim/report.cc), so a field added
+ * here serializes, reads back and round-trips with no other edit.
+ * IF_SET fields are written only when they differ from their default
+ * and are optional on read — schema evolution that keeps older specs'
+ * bytes (specFrontEnd: oracle-mode specs and the determinism-pin
+ * digest over them never carry the key).
+ * @{
+ */
+#define SIQ_WORKLOAD_PARAMS_FIELDS(X) X(scale) X(repDivisor) X(seed)
+
+#define SIQ_IQ_CONFIG_FIELDS(X) X(numEntries) X(bankSize)
+
+#define SIQ_LSQ_CONFIG_FIELDS(X) X(numEntries)
+
+#define SIQ_REGFILE_CONFIG_FIELDS(X) X(numPhys) X(numArch) X(bankSize)
+
+#define SIQ_BPRED_CONFIG_FIELDS(X)                                       \
+    X(gshareEntries) X(bimodalEntries) X(selectorEntries)                \
+    X(btbEntries) X(btbAssoc) X(rasEntries)
+
+#define SIQ_CACHE_CONFIG_FIELDS(X)                                       \
+    X(name) X(sizeBytes) X(assoc) X(lineBytes) X(hitLatency)
+
+#define SIQ_MEM_CONFIG_FIELDS(X) X(l1i) X(l1d) X(l2) X(memLatency)
+
+#define SIQ_CORE_CONFIG_FIELDS(X, IF_SET)                                \
+    X(fetchWidth) X(dispatchWidth) X(issueWidth) X(commitWidth)          \
+    X(decodeDepth) X(fetchQueueSize) X(robSize) X(iq) X(lsq)             \
+    X(intRegs) X(fpRegs) X(fuCounts) X(bpred) IF_SET(specFrontEnd)       \
+    X(mem)
+
+#define SIQ_ABELLA_CONFIG_FIELDS(X)                                      \
+    X(iqSize) X(robSize) X(portion) X(minIq) X(robFloor)                 \
+    X(intervalCycles) X(slackPortions) X(stallFractionToGrow)
+
+#define SIQ_FOLEGNANI_CONFIG_FIELDS(X)                                   \
+    X(iqSize) X(portion) X(minSize) X(intervalCycles)                    \
+    X(contributionThreshold) X(expandPeriod)
+
+#define SIQ_RUN_CONFIG_FIELDS(X)                                         \
+    X(workload) X(warmupInsts) X(measureInsts) X(minHint)                \
+    X(elideRedundant) X(unrollFactor) X(core) X(abella) X(folegnani)
+/** @} */
 
 #endif // SIQ_SIM_FIELDS_HH

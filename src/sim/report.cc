@@ -1,8 +1,14 @@
 #include "sim/report.hh"
 
+#include <array>
+#include <bit>
+#include <concepts>
 #include <cstdio>
+#include <limits>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/json.hh"
@@ -36,7 +42,7 @@ appendCellJson(std::ostream &os, const RunResult &r)
 {
     os << "{\"benchmark\":" << quote(r.benchmark)
        << ",\"technique\":" << quote(r.technique)
-       << ",\"family\":" << quote(techniqueName(r.tech))
+       << ",\"family\":" << quote(r.technique)
        << ",\"generateSeconds\":" << fmtDouble(r.generateSeconds);
     // wall-clock metadata added after the v5 schema: emitted only
     // when nonzero so canonicalize()d output (which zeroes it) keeps
@@ -82,11 +88,11 @@ cellFromJson(const JsonValue &v)
     RunResult r;
     r.benchmark = v.at("benchmark").asString();
     r.technique = v.at("technique").asString();
+    // "family" is the technique's table entry; older exports of
+    // since-removed technique variants named their base technique
     const std::string &family = v.at("family").asString();
-    const auto tech = techniqueFromName(family);
-    if (!tech)
+    if (findTechnique(family) == nullptr)
         fatal("report JSON: unknown technique family '", family, "'");
-    r.tech = *tech;
     r.generateSeconds = v.at("generateSeconds").asDouble();
     // optional (nonzero-only) key — absent in pre-v6 and canonical
     // output, same schema-evolution pattern as the "seeds" key. Keys
@@ -357,8 +363,7 @@ writeCsv(std::ostream &os, const SweepResult &result)
     os << "\n";
     for (std::size_t i = 0; i < result.cells.size(); i++) {
         const RunResult &r = result.cells[i];
-        os << r.benchmark << ',' << r.technique << ','
-           << techniqueName(r.tech);
+        os << r.benchmark << ',' << r.technique << ',' << r.technique;
 #define X(f) os << ',' << fmtDouble(r.f);
         SIQ_RUN_TIMING_FIELDS(X)
 #undef X
@@ -401,197 +406,156 @@ namespace
 
 // -------------------------------------------------- spec (de)serial
 
+// every config struct's fields are visited through its one list in
+// sim/fields.hh: @p v(key, member, ifSet) per field, in key order,
+// with ifSet a std::bool_constant (see SIQ_CORE_CONFIG_FIELDS)
+#define SIQ_FIELD(f) v(#f, c.f, std::false_type{});
+#define SIQ_FIELD_IF_SET(f) v(#f, c.f, std::true_type{});
+#define SIQ_VISIT_FIELDS(Type, ...)                                      \
+    template <class C, class V>                                          \
+        requires std::same_as<std::remove_const_t<C>, Type>              \
+    void visitFields(C &c, V &&v)                                        \
+    {                                                                    \
+        __VA_ARGS__                                                      \
+    }
+
+SIQ_VISIT_FIELDS(workloads::WorkloadParams,
+                 SIQ_WORKLOAD_PARAMS_FIELDS(SIQ_FIELD))
+SIQ_VISIT_FIELDS(IqConfig, SIQ_IQ_CONFIG_FIELDS(SIQ_FIELD))
+SIQ_VISIT_FIELDS(LsqConfig, SIQ_LSQ_CONFIG_FIELDS(SIQ_FIELD))
+SIQ_VISIT_FIELDS(RegFileConfig, SIQ_REGFILE_CONFIG_FIELDS(SIQ_FIELD))
+SIQ_VISIT_FIELDS(BpredConfig, SIQ_BPRED_CONFIG_FIELDS(SIQ_FIELD))
+SIQ_VISIT_FIELDS(CacheConfig, SIQ_CACHE_CONFIG_FIELDS(SIQ_FIELD))
+SIQ_VISIT_FIELDS(MemHierarchyConfig, SIQ_MEM_CONFIG_FIELDS(SIQ_FIELD))
+SIQ_VISIT_FIELDS(CoreConfig,
+                 SIQ_CORE_CONFIG_FIELDS(SIQ_FIELD, SIQ_FIELD_IF_SET))
+SIQ_VISIT_FIELDS(AbellaConfig, SIQ_ABELLA_CONFIG_FIELDS(SIQ_FIELD))
+SIQ_VISIT_FIELDS(FolegnaniConfig, SIQ_FOLEGNANI_CONFIG_FIELDS(SIQ_FIELD))
+SIQ_VISIT_FIELDS(RunConfig, SIQ_RUN_CONFIG_FIELDS(SIQ_FIELD))
+
+#undef SIQ_VISIT_FIELDS
+#undef SIQ_FIELD_IF_SET
+#undef SIQ_FIELD
+
+template <class C>
+concept ConfigStruct = requires(C &c) {
+    visitFields(c, [](const char *, auto &, auto) {});
+};
+
+/** Where a field sits in the spec ("base.core.robSize"), built only
+ *  for error messages. */
+struct FieldPath
+{
+    const FieldPath *parent;
+    const char *key;
+
+    std::string
+    str() const
+    {
+        return parent ? parent->str() + "." + key : key;
+    }
+};
+
+void writeValue(std::ostream &os, int v) { os << v; }
+void writeValue(std::ostream &os, std::uint32_t v) { os << v; }
+void writeValue(std::ostream &os, std::uint64_t v) { os << v; }
+void writeValue(std::ostream &os, double v) { os << fmtDouble(v); }
+void writeValue(std::ostream &os, bool v) { os << (v ? "true" : "false"); }
+void writeValue(std::ostream &os, const std::string &v) { os << quote(v); }
+
+template <std::size_t N>
 void
-appendCacheConfigJson(std::ostream &os, const CacheConfig &c)
+writeValue(std::ostream &os, const std::array<int, N> &a)
 {
-    os << "{\"name\":" << quote(c.name) << ",\"sizeBytes\":"
-       << c.sizeBytes << ",\"assoc\":" << c.assoc << ",\"lineBytes\":"
-       << c.lineBytes << ",\"hitLatency\":" << c.hitLatency << "}";
+    os << '[';
+    for (std::size_t i = 0; i < N; i++)
+        os << (i ? "," : "") << a[i];
+    os << ']';
 }
 
-CacheConfig
-cacheConfigFromJson(const JsonValue &v)
-{
-    CacheConfig c;
-    c.name = v.at("name").asString();
-    c.sizeBytes = static_cast<std::uint32_t>(v.at("sizeBytes").asU64());
-    c.assoc = static_cast<std::uint32_t>(v.at("assoc").asU64());
-    c.lineBytes = static_cast<std::uint32_t>(v.at("lineBytes").asU64());
-    c.hitLatency = v.at("hitLatency").asInt();
-    return c;
-}
-
+template <ConfigStruct C>
 void
-appendRegFileConfigJson(std::ostream &os, const RegFileConfig &c)
+writeValue(std::ostream &os, const C &c)
 {
-    os << "{\"numPhys\":" << c.numPhys << ",\"numArch\":" << c.numArch
-       << ",\"bankSize\":" << c.bankSize << "}";
-}
-
-RegFileConfig
-regFileConfigFromJson(const JsonValue &v)
-{
-    RegFileConfig c;
-    c.numPhys = v.at("numPhys").asInt();
-    c.numArch = v.at("numArch").asInt();
-    c.bankSize = v.at("bankSize").asInt();
-    return c;
-}
-
-void
-appendCoreConfigJson(std::ostream &os, const CoreConfig &c)
-{
-    os << "{\"fetchWidth\":" << c.fetchWidth
-       << ",\"dispatchWidth\":" << c.dispatchWidth
-       << ",\"issueWidth\":" << c.issueWidth
-       << ",\"commitWidth\":" << c.commitWidth
-       << ",\"decodeDepth\":" << c.decodeDepth
-       << ",\"fetchQueueSize\":" << c.fetchQueueSize
-       << ",\"robSize\":" << c.robSize
-       << ",\"iq\":{\"numEntries\":" << c.iq.numEntries
-       << ",\"bankSize\":" << c.iq.bankSize << "}"
-       << ",\"lsq\":{\"numEntries\":" << c.lsq.numEntries << "}"
-       << ",\"intRegs\":";
-    appendRegFileConfigJson(os, c.intRegs);
-    os << ",\"fpRegs\":";
-    appendRegFileConfigJson(os, c.fpRegs);
-    os << ",\"fuCounts\":[";
-    for (std::size_t i = 0; i < c.fuCounts.size(); i++)
-        os << (i ? "," : "") << c.fuCounts[i];
-    os << "],\"bpred\":{\"gshareEntries\":" << c.bpred.gshareEntries
-       << ",\"bimodalEntries\":" << c.bpred.bimodalEntries
-       << ",\"selectorEntries\":" << c.bpred.selectorEntries
-       << ",\"btbEntries\":" << c.bpred.btbEntries
-       << ",\"btbAssoc\":" << c.bpred.btbAssoc
-       << ",\"rasEntries\":" << c.bpred.rasEntries << "}";
-    // present only when enabled, so oracle-mode exports (and the
-    // determinism-pin digest over them) keep their historical bytes
-    if (c.specFrontEnd)
-        os << ",\"specFrontEnd\":true";
-    os << ",\"mem\":{\"l1i\":";
-    appendCacheConfigJson(os, c.mem.l1i);
-    os << ",\"l1d\":";
-    appendCacheConfigJson(os, c.mem.l1d);
-    os << ",\"l2\":";
-    appendCacheConfigJson(os, c.mem.l2);
-    os << ",\"memLatency\":" << c.mem.memLatency << "}}";
-}
-
-CoreConfig
-coreConfigFromJson(const JsonValue &v)
-{
-    CoreConfig c;
-    c.fetchWidth = v.at("fetchWidth").asInt();
-    c.dispatchWidth = v.at("dispatchWidth").asInt();
-    c.issueWidth = v.at("issueWidth").asInt();
-    c.commitWidth = v.at("commitWidth").asInt();
-    c.decodeDepth = v.at("decodeDepth").asInt();
-    c.fetchQueueSize = v.at("fetchQueueSize").asInt();
-    c.robSize = v.at("robSize").asInt();
-    c.iq.numEntries = v.at("iq").at("numEntries").asInt();
-    c.iq.bankSize = v.at("iq").at("bankSize").asInt();
-    c.lsq.numEntries = v.at("lsq").at("numEntries").asInt();
-    c.intRegs = regFileConfigFromJson(v.at("intRegs"));
-    c.fpRegs = regFileConfigFromJson(v.at("fpRegs"));
-    const JsonValue &fu = v.at("fuCounts");
-    if (fu.array.size() != c.fuCounts.size())
-        fatal("spec JSON: fuCounts must have ", c.fuCounts.size(),
-              " entries, got ", fu.array.size());
-    for (std::size_t i = 0; i < c.fuCounts.size(); i++)
-        c.fuCounts[i] = fu.array[i].asInt();
-    const JsonValue &bp = v.at("bpred");
-    c.bpred.gshareEntries =
-        static_cast<std::uint32_t>(bp.at("gshareEntries").asU64());
-    c.bpred.bimodalEntries =
-        static_cast<std::uint32_t>(bp.at("bimodalEntries").asU64());
-    c.bpred.selectorEntries =
-        static_cast<std::uint32_t>(bp.at("selectorEntries").asU64());
-    c.bpred.btbEntries =
-        static_cast<std::uint32_t>(bp.at("btbEntries").asU64());
-    c.bpred.btbAssoc =
-        static_cast<std::uint32_t>(bp.at("btbAssoc").asU64());
-    c.bpred.rasEntries =
-        static_cast<std::uint32_t>(bp.at("rasEntries").asU64());
-    if (const JsonValue *sfe = v.find("specFrontEnd"))
-        c.specFrontEnd = sfe->asBool();
-    const JsonValue &mem = v.at("mem");
-    c.mem.l1i = cacheConfigFromJson(mem.at("l1i"));
-    c.mem.l1d = cacheConfigFromJson(mem.at("l1d"));
-    c.mem.l2 = cacheConfigFromJson(mem.at("l2"));
-    c.mem.memLatency = mem.at("memLatency").asInt();
-    return c;
+    os << '{';
+    const char *sep = "";
+    visitFields(c, [&](const char *key, const auto &v, auto ifSet) {
+        if constexpr (ifSet) {
+            if (v == std::remove_cvref_t<decltype(v)>{})
+                return;
+        }
+        os << sep << '"' << key << "\":";
+        writeValue(os, v);
+        sep = ",";
+    });
+    os << '}';
 }
 
 void
-appendRunConfigJson(std::ostream &os, const RunConfig &cfg)
+readValue(const JsonValue &j, int &v, const FieldPath &)
 {
-    os << "{\"workload\":{\"scale\":" << cfg.workload.scale
-       << ",\"repDivisor\":" << cfg.workload.repDivisor
-       << ",\"seed\":" << cfg.workload.seed << "}"
-       << ",\"warmupInsts\":" << cfg.warmupInsts
-       << ",\"measureInsts\":" << cfg.measureInsts
-       << ",\"minHint\":" << cfg.minHint
-       << ",\"elideRedundant\":"
-       << (cfg.elideRedundant ? "true" : "false")
-       << ",\"unrollFactor\":" << cfg.unrollFactor << ",\"core\":";
-    appendCoreConfigJson(os, cfg.core);
-    os << ",\"abella\":{\"iqSize\":" << cfg.abella.iqSize
-       << ",\"robSize\":" << cfg.abella.robSize
-       << ",\"portion\":" << cfg.abella.portion
-       << ",\"minIq\":" << cfg.abella.minIq
-       << ",\"robFloor\":" << cfg.abella.robFloor
-       << ",\"intervalCycles\":" << cfg.abella.intervalCycles
-       << ",\"slackPortions\":" << cfg.abella.slackPortions
-       << ",\"stallFractionToGrow\":"
-       << fmtDouble(cfg.abella.stallFractionToGrow) << "}"
-       << ",\"folegnani\":{\"iqSize\":" << cfg.folegnani.iqSize
-       << ",\"portion\":" << cfg.folegnani.portion
-       << ",\"minSize\":" << cfg.folegnani.minSize
-       << ",\"intervalCycles\":" << cfg.folegnani.intervalCycles
-       << ",\"contributionThreshold\":"
-       << cfg.folegnani.contributionThreshold
-       << ",\"expandPeriod\":" << cfg.folegnani.expandPeriod << "}}";
+    v = j.asInt();
 }
 
-RunConfig
-runConfigFromJson(const JsonValue &v)
+void
+readValue(const JsonValue &j, bool &v, const FieldPath &)
 {
-    RunConfig cfg;
-    const JsonValue &w = v.at("workload");
-    cfg.workload.scale = w.at("scale").asInt();
-    cfg.workload.repDivisor = w.at("repDivisor").asInt();
-    cfg.workload.seed = w.at("seed").asU64();
-    cfg.warmupInsts = v.at("warmupInsts").asU64();
-    cfg.measureInsts = v.at("measureInsts").asU64();
-    cfg.minHint = v.at("minHint").asInt();
-    cfg.elideRedundant = v.at("elideRedundant").asBool();
-    cfg.unrollFactor = v.at("unrollFactor").asInt();
-    cfg.core = coreConfigFromJson(v.at("core"));
-    const JsonValue &ab = v.at("abella");
-    cfg.abella.iqSize = ab.at("iqSize").asInt();
-    cfg.abella.robSize = ab.at("robSize").asInt();
-    cfg.abella.portion = ab.at("portion").asInt();
-    cfg.abella.minIq = ab.at("minIq").asInt();
-    cfg.abella.robFloor = ab.at("robFloor").asInt();
-    cfg.abella.intervalCycles = ab.at("intervalCycles").asU64();
-    cfg.abella.slackPortions = ab.at("slackPortions").asInt();
-    cfg.abella.stallFractionToGrow =
-        ab.at("stallFractionToGrow").asDouble();
-    const JsonValue &fo = v.at("folegnani");
-    cfg.folegnani.iqSize = fo.at("iqSize").asInt();
-    cfg.folegnani.portion = fo.at("portion").asInt();
-    cfg.folegnani.minSize = fo.at("minSize").asInt();
-    cfg.folegnani.intervalCycles = fo.at("intervalCycles").asU64();
-    cfg.folegnani.contributionThreshold =
-        fo.at("contributionThreshold").asU64();
-    cfg.folegnani.expandPeriod = fo.at("expandPeriod").asInt();
-    return cfg;
+    v = j.asBool();
 }
 
-} // namespace
-
-namespace
+void
+readValue(const JsonValue &j, std::uint64_t &v, const FieldPath &)
 {
+    v = j.asU64();
+}
+
+void
+readValue(const JsonValue &j, double &v, const FieldPath &)
+{
+    v = j.asDouble();
+}
+
+void
+readValue(const JsonValue &j, std::string &v, const FieldPath &)
+{
+    v = j.asString();
+}
+
+void
+readValue(const JsonValue &j, std::uint32_t &v, const FieldPath &path)
+{
+    const std::uint64_t u = j.asU64();
+    if (u > std::numeric_limits<std::uint32_t>::max())
+        fatal("spec JSON: ", path.str(), " must be <= ",
+              std::numeric_limits<std::uint32_t>::max(), ", got ", u);
+    v = static_cast<std::uint32_t>(u);
+}
+
+template <std::size_t N>
+void
+readValue(const JsonValue &j, std::array<int, N> &a, const FieldPath &path)
+{
+    if (j.array.size() != N)
+        fatal("spec JSON: ", path.str(), " must have ", N,
+              " entries, got ", j.array.size());
+    for (std::size_t i = 0; i < N; i++)
+        a[i] = j.array[i].asInt();
+}
+
+template <ConfigStruct C>
+void
+readValue(const JsonValue &j, C &c, const FieldPath &path)
+{
+    visitFields(c, [&](const char *key, auto &v, auto ifSet) {
+        const FieldPath sub{&path, key};
+        if constexpr (ifSet) {
+            if (const JsonValue *present = j.find(key))
+                readValue(*present, v, sub);
+        } else {
+            readValue(j.at(key), v, sub);
+        }
+    });
+}
 
 /** One benchmark-axis entry: the structured WorkloadSpec form.
  *  "params" is present only when overrides exist, so parameterless
@@ -633,7 +597,95 @@ workloadSpecFromJson(const JsonValue &v)
     return workloads::canonicalWorkload(text);
 }
 
+/** fatal() naming the field base.@p path@p field unless @p ok. */
+template <class... Args>
+void
+require(bool ok, std::string_view path, std::string_view field,
+        Args &&...why)
+{
+    if (!ok)
+        fatal("spec JSON: base.", path, field, ' ',
+              std::forward<Args>(why)...);
+}
+
+template <class T>
+void
+requirePositive(T value, std::string_view path, std::string_view field)
+{
+    require(value >= 1, path, field, "must be >= 1, got ", value);
+}
+
+/** @p value must be a multiple of @p divisor (already checked >= 1). */
+template <class T>
+void
+requireMultiple(T value, T divisor, std::string_view path,
+                std::string_view field, const char *divisorName)
+{
+    require(value % divisor == 0, path, field, "must be a multiple of ",
+            divisorName, " (", divisor, "), got ", value);
+}
+
+void
+requireCache(const CacheConfig &c, std::string_view path)
+{
+    requirePositive(c.sizeBytes, path, ".sizeBytes");
+    requirePositive(c.assoc, path, ".assoc");
+    require(std::has_single_bit(c.lineBytes), path, ".lineBytes",
+            "must be a power of two, got ", c.lineBytes);
+    const std::uint64_t sets =
+        c.sizeBytes / (std::uint64_t{c.assoc} * c.lineBytes);
+    require(std::has_single_bit(sets), path, ".sizeBytes",
+            "/ (assoc * lineBytes) must be a nonzero power of two, got ",
+            sets, " sets");
+}
+
+void
+requireRegFile(const RegFileConfig &r, std::string_view path)
+{
+    requirePositive(r.numArch, path, ".numArch");
+    require(r.numPhys > r.numArch, path, ".numPhys",
+            "must exceed numArch (", r.numArch, "), got ", r.numPhys);
+    require(r.numPhys <= regHandleStride, path, ".numPhys",
+            "must be <= ", regHandleStride, ", got ", r.numPhys);
+    requirePositive(r.bankSize, path, ".bankSize");
+    requireMultiple(r.numPhys, r.bankSize, path, ".numPhys", "bankSize");
+}
+
 } // namespace
+
+void
+validate(const RunConfig &cfg)
+{
+    const CoreConfig &c = cfg.core;
+    requirePositive(c.fetchWidth, "core", ".fetchWidth");
+    requirePositive(c.dispatchWidth, "core", ".dispatchWidth");
+    requirePositive(c.issueWidth, "core", ".issueWidth");
+    requirePositive(c.commitWidth, "core", ".commitWidth");
+    requirePositive(c.fetchQueueSize, "core", ".fetchQueueSize");
+    requirePositive(c.robSize, "core", ".robSize");
+    requirePositive(c.lsq.numEntries, "core.lsq", ".numEntries");
+    requirePositive(c.iq.bankSize, "core.iq", ".bankSize");
+    requirePositive(c.iq.numEntries, "core.iq", ".numEntries");
+    requireMultiple(c.iq.numEntries, c.iq.bankSize, "core.iq",
+                    ".numEntries", "bankSize");
+    requireRegFile(c.intRegs, "core.intRegs");
+    requireRegFile(c.fpRegs, "core.fpRegs");
+    requireCache(c.mem.l1i, "core.mem.l1i");
+    requireCache(c.mem.l1d, "core.mem.l1d");
+    requireCache(c.mem.l2, "core.mem.l2");
+    // the predictor tables and FU pools have no constructor check but
+    // are divisors (table index modulo size) or deadlock when empty
+    requirePositive(c.bpred.gshareEntries, "core.bpred", ".gshareEntries");
+    requirePositive(c.bpred.bimodalEntries, "core.bpred", ".bimodalEntries");
+    requirePositive(c.bpred.selectorEntries, "core.bpred",
+                    ".selectorEntries");
+    requirePositive(c.bpred.btbEntries, "core.bpred", ".btbEntries");
+    requirePositive(c.bpred.btbAssoc, "core.bpred", ".btbAssoc");
+    requireMultiple(c.bpred.btbEntries, c.bpred.btbAssoc, "core.bpred",
+                    ".btbEntries", "btbAssoc");
+    for (const int n : c.fuCounts)
+        requirePositive(n, "core", ".fuCounts[]");
+}
 
 void
 writeSpecJson(std::ostream &os, const SweepSpec &spec)
@@ -648,7 +700,7 @@ writeSpecJson(std::ostream &os, const SweepSpec &spec)
         os << (i ? "," : "") << quote(spec.techniques[i]);
     os << "],\"jobs\":" << spec.jobs << ",\"seeds\":" << spec.seeds
        << ",\n\"base\":";
-    appendRunConfigJson(os, spec.base);
+    writeValue(os, spec.base);
     os << "}\n";
 }
 
@@ -672,7 +724,8 @@ specFromJson(const json::Value &root)
     spec.seeds = root.at("seeds").asInt();
     if (spec.seeds < 0)
         fatal("spec JSON: seeds must be >= 0, got ", spec.seeds);
-    spec.base = runConfigFromJson(root.at("base"));
+    readValue(root.at("base"), spec.base, FieldPath{nullptr, "base"});
+    validate(spec.base);
     for (const auto &t : spec.techniques) {
         if (findTechnique(t) == nullptr)
             fatal("spec JSON: unknown technique '", t, "'");

@@ -84,10 +84,8 @@ void writePowerCsv(std::ostream &os, const SweepResult &result,
  * DESIGN.md §10). readSpecJson also accepts plain string entries
  * ("phased:period=60000") in hand-written specs.
  *
- * Two fields do not serialize, by design: `base.tech` (sweeps ignore
- * it — the technique axis decides what runs) and the `perCell`
- * override (a function; specs that need per-cell overrides are bound
- * to the binary that defines them, see DESIGN.md §8.1).
+ * Every SweepSpec field serializes; the config structs are written
+ * and read through their field lists in sim/fields.hh.
  */
 void writeSpecJson(std::ostream &os, const SweepSpec &spec);
 
@@ -95,10 +93,23 @@ void writeSpecJson(std::ostream &os, const SweepSpec &spec);
  *  verify resume/merge compatibility — DESIGN.md §8.2). */
 std::string toJson(const SweepSpec &spec);
 
-/** Parse writeSpecJson output. Every serialized field round-trips
- *  bit-exactly; `perCell` comes back null. Fatal on malformed
- *  input or unknown technique names. */
+/** Parse writeSpecJson output. Every field round-trips bit-exactly.
+ *  Fatal on malformed input, unknown technique names, or a base
+ *  config that fails validate(). */
 SweepSpec readSpecJson(std::istream &is);
+
+/**
+ * Reject a config the core could not be built from or run: every
+ * pipeline width >= 1, the geometry preconditions the ROB, fetch
+ * queue, IQ, register files, LSQ, caches and BTB constructors assert
+ * (banks tile the IQ and register files, power-of-two cache lines and
+ * sets, ...), and non-empty predictor tables and FU pools. fatal()
+ * naming the field path ("base.core.robSize").
+ * The spec readers call it, so an invalid spec fails where it enters
+ * — `siqsim run` exits 1 and serve answers with an error record —
+ * instead of aborting in a constructor.
+ */
+void validate(const RunConfig &cfg);
 
 /** Build a SweepSpec from an already-parsed JSON tree (the serve
  *  daemon embeds specs inside request envelopes). Fatal on schema

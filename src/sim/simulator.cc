@@ -9,42 +9,12 @@
 namespace siq::sim
 {
 
-std::string
-techniqueName(Technique tech)
-{
-    switch (tech) {
-      case Technique::Baseline:
-        return "baseline";
-      case Technique::Noop:
-        return "noop";
-      case Technique::Extension:
-        return "extension";
-      case Technique::Improved:
-        return "improved";
-      case Technique::Abella:
-        return "abella";
-      case Technique::Folegnani:
-        return "folegnani";
-    }
-    return "?";
-}
-
-std::optional<compiler::CompilerConfig>
-compilerConfigFor(Technique tech, const RunConfig &cfg)
-{
-    const TechniqueDef &def = techniqueDef(tech);
-    if (!def.compilerConfig)
-        return std::nullopt;
-    return def.compilerConfig(cfg);
-}
-
 RunResult
 simulateProgram(const Program &prog, const TechniqueDef &def,
                 const RunConfig &cfg)
 {
     RunResult result;
     result.technique = def.name;
-    result.tech = def.tag;
     result.benchmark = prog.name;
 
     std::unique_ptr<IqLimitController> controller;
@@ -73,13 +43,8 @@ runOne(const std::string &benchmark, const std::string &technique,
     if (def == nullptr)
         fatal("unknown technique: ", technique);
 
-    // mirror the sweep worker: factories see the technique's family
-    // tag, so serial and threaded runs are configured identically
-    RunConfig cellCfg = cfg;
-    cellCfg.tech = def->tag;
-
     const auto g0 = std::chrono::steady_clock::now();
-    Program prog = workloads::generate(benchmark, cellCfg.workload);
+    Program prog = workloads::generate(benchmark, cfg.workload);
     const double generateSeconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - g0)
@@ -87,22 +52,16 @@ runOne(const std::string &benchmark, const std::string &technique,
 
     compiler::CompileStats compileStats;
     if (def->compilerConfig) {
-        if (const auto cc = def->compilerConfig(cellCfg))
+        if (const auto cc = def->compilerConfig(cfg))
             compileStats = compiler::annotate(prog, *cc);
     }
 
-    RunResult result = simulateProgram(prog, *def, cellCfg);
+    RunResult result = simulateProgram(prog, *def, cfg);
     result.benchmark = benchmark;
     result.generateSeconds = generateSeconds;
     result.compile = compileStats;
     result.compileSeconds = compileStats.seconds;
     return result;
-}
-
-RunResult
-runOne(const std::string &benchmark, const RunConfig &cfg)
-{
-    return runOne(benchmark, techniqueName(cfg.tech), cfg);
 }
 
 PowerComparison

@@ -9,7 +9,6 @@
 #ifndef SIQ_SIM_SIMULATOR_HH
 #define SIQ_SIM_SIMULATOR_HH
 
-#include <optional>
 #include <string>
 
 #include "adaptive/abella.hh"
@@ -22,26 +21,11 @@
 namespace siq::sim
 {
 
-/** The techniques compared in the paper's evaluation. */
-enum class Technique
-{
-    Baseline,  ///< fixed 80-entry IQ, no resizing
-    Noop,      ///< compiler hints via special NOOPs (§5.2)
-    Extension, ///< compiler hints via instruction tags (§5.3)
-    Improved,  ///< Extension + inter-procedural FU analysis (§5.3)
-    Abella,    ///< hardware adaptive IqRob64 comparator
-    Folegnani, ///< hardware adaptive resizer (ablation A4)
-};
-
-/** Human-readable technique name (also its registry key). */
-std::string techniqueName(Technique tech);
-
-struct TechniqueDef; // the registry entry type (sim/technique.hh)
+struct TechniqueDef; // a technique-table entry (sim/technique.hh)
 
 /** One experiment's parameters. */
 struct RunConfig
 {
-    Technique tech = Technique::Baseline;
     CoreConfig core;
     workloads::WorkloadParams workload;
     std::uint64_t warmupInsts = 200000;
@@ -58,10 +42,8 @@ struct RunConfig
 struct RunResult
 {
     std::string benchmark;
-    /** Registry name of the technique that produced this result (for
-     *  variants, the variant name, not the built-in family). */
+    /** Name of the technique that produced this result. */
     std::string technique = "baseline";
-    Technique tech = Technique::Baseline;
     CoreStats stats;
     IqEventCounts iq;
     compiler::CompileStats compile;
@@ -116,11 +98,6 @@ struct RunResult
     }
 };
 
-/** Map a technique to its compiler configuration, if it has one
- *  (delegates to the registry entry's factory). */
-std::optional<compiler::CompilerConfig>
-compilerConfigFor(Technique tech, const RunConfig &cfg);
-
 /**
  * Simulate an already-prepared (annotated, finalized) program under a
  * technique's controller. This is the single simulation path shared
@@ -136,13 +113,8 @@ compilerConfigFor(Technique tech, const RunConfig &cfg);
 RunResult simulateProgram(const Program &prog, const TechniqueDef &def,
                           const RunConfig &cfg);
 
-/** Run one benchmark under one built-in technique (cfg.tech). */
-RunResult runOne(const std::string &benchmark, const RunConfig &cfg);
-
-/**
- * Run one benchmark under any registered technique (built-in or a
- * bench/example-registered variant). Fatal on unknown names.
- */
+/** Run one benchmark under a named technique (sim/technique.hh).
+ *  Fatal on unknown names. */
 RunResult runOne(const std::string &benchmark,
                  const std::string &technique, const RunConfig &cfg);
 

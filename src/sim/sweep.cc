@@ -422,12 +422,8 @@ ExperimentRunner::run(const SweepSpec &spec, const CellHooks &hooks)
             }
             try {
                 RunConfig cfg = spec.base;
-                cfg.tech = defs[key.techIdx]->tag;
-                if (spec.perCell)
-                    spec.perCell(cfg, key);
-                // decorrelate replicas after the override, so
-                // per-cell seed choices replicate too; replica 0
-                // keeps the configured seed (seeds=1 == status quo)
+                // decorrelate replicas; replica 0 keeps the
+                // configured seed (seeds=1 == status quo)
                 if (key.rep > 0) {
                     cfg.workload.seed = mixSeed(cfg.workload.seed,
                                                 key.rep, 0);
@@ -530,7 +526,7 @@ bool
 identicalMeasurement(const RunResult &a, const RunResult &b)
 {
     return a.benchmark == b.benchmark && a.technique == b.technique &&
-           a.tech == b.tech && a.stats == b.stats && a.iq == b.iq
+           a.stats == b.stats && a.iq == b.iq
 #define X(f) &&a.compile.f == b.compile.f
                SIQ_COMPILE_STATS_FIELDS(X)
 #undef X

@@ -1,7 +1,7 @@
 /**
  * @file
  * The experiment engine: a declarative sweep (benchmarks × techniques
- * × config overrides) fanned out over a worker thread pool, with the
+ * over one base config) fanned out over a worker thread pool, with the
  * two expensive, technique-independent artifacts cached and shared
  * read-only across cells:
  *
@@ -58,21 +58,19 @@
 namespace siq::sim
 {
 
-/** Identity of one sweep cell, passed to the per-cell override. */
+/** Identity of one sweep cell, passed to CellHooks::onCellDone. */
 struct CellKey
 {
     std::size_t benchIdx = 0;
     std::size_t techIdx = 0;
-    /** Replica index, 0 .. seeds-1 (0 when unreplicated). The
-     *  override sees it for labelling only; workload-seed mixing
-     *  happens after the override so per-cell seed choices still get
-     *  decorrelated replicas. */
+    /** Replica index, 0 .. seeds-1 (0 when unreplicated). */
     std::size_t rep = 0;
     std::string benchmark;
     std::string technique;
 };
 
-/** A declarative experiment matrix. */
+/** A declarative experiment matrix: plain data, every field
+ *  serialized by writeSpecJson (sim/report.hh). */
 struct SweepSpec
 {
     /**
@@ -85,17 +83,11 @@ struct SweepSpec
      * cells, cache keys and exports carry.
      */
     std::vector<std::string> benchmarks;
-    /** Registry technique names (built-ins or registered variants). */
+    /** Technique names (sim/technique.hh). */
     std::vector<std::string> techniques;
-    /** Config every cell starts from (tech field is ignored). */
+    /** Config every cell runs with. An ablation (hint floor, elision,
+     *  bank size, ...) is a sweep over a different base. */
     RunConfig base;
-    /**
-     * Optional per-cell override, applied after the base config is
-     * copied. Must be deterministic in the key (it runs on worker
-     * threads, possibly concurrently). Note that overrides changing
-     * workload params or compiler knobs split the caches by design.
-     */
-    std::function<void(RunConfig &, const CellKey &)> perCell;
     /** Worker threads; 0 defers to the runner's constructor default
      *  (which in turn defaults to hardware concurrency). */
     int jobs = 0;
@@ -271,10 +263,9 @@ class ExperimentRunner
     SweepCacheStats cacheStats() const;
 
     /**
-     * Deterministic per-cell seed derivation (splitmix64 over the
-     * base seed and the cell coordinates) for specs that want
-     * decorrelated workloads per cell without depending on thread
-     * scheduling.
+     * Deterministic seed derivation (splitmix64 over the base seed
+     * and two coordinates): replica r > 0 runs with
+     * mixSeed(seed, r, 0), independent of thread scheduling.
      */
     static std::uint64_t mixSeed(std::uint64_t base, std::uint64_t a,
                                  std::uint64_t b);

@@ -1,9 +1,6 @@
 #include "sim/technique.hh"
 
-#include <mutex>
-#include <utility>
-
-#include "common/logging.hh"
+#include <array>
 
 namespace siq::sim
 {
@@ -26,196 +23,88 @@ baseCompilerConfig(const RunConfig &cfg)
     return cc;
 }
 
-std::vector<TechniqueDef>
-builtinDefs()
+std::optional<compiler::CompilerConfig>
+noopScheme(const RunConfig &cfg)
 {
-    std::vector<TechniqueDef> defs;
+    auto cc = baseCompilerConfig(cfg);
+    cc.scheme = compiler::HintScheme::Noop;
+    return cc;
+}
 
-    defs.push_back({
-        "baseline",
-        Technique::Baseline,
-        "fixed 80-entry IQ, no resizing",
-        nullptr,
-        nullptr,
-    });
+std::optional<compiler::CompilerConfig>
+tagScheme(const RunConfig &cfg)
+{
+    auto cc = baseCompilerConfig(cfg);
+    cc.scheme = compiler::HintScheme::Tag;
+    return cc;
+}
 
-    defs.push_back({
-        "noop",
-        Technique::Noop,
-        "compiler hints via special NOOPs (paper §5.2)",
-        [](const RunConfig &cfg) {
-            auto cc = baseCompilerConfig(cfg);
-            cc.scheme = compiler::HintScheme::Noop;
-            return std::optional(cc);
-        },
-        nullptr,
-    });
+std::optional<compiler::CompilerConfig>
+tagInterprocScheme(const RunConfig &cfg)
+{
+    auto cc = baseCompilerConfig(cfg);
+    cc.scheme = compiler::HintScheme::Tag;
+    cc.interprocFu = true;
+    return cc;
+}
 
-    defs.push_back({
-        "extension",
-        Technique::Extension,
-        "compiler hints via instruction tags (paper §5.3)",
-        [](const RunConfig &cfg) {
-            auto cc = baseCompilerConfig(cfg);
-            cc.scheme = compiler::HintScheme::Tag;
-            return std::optional(cc);
-        },
-        nullptr,
-    });
+std::unique_ptr<IqLimitController>
+abellaResizer(const RunConfig &cfg)
+{
+    AbellaConfig ac = cfg.abella;
+    ac.iqSize = cfg.core.iq.numEntries;
+    ac.robSize = cfg.core.robSize;
+    return std::make_unique<AbellaResizer>(ac);
+}
 
-    defs.push_back({
-        "improved",
-        Technique::Improved,
-        "Extension + inter-procedural FU analysis (paper §5.3)",
-        [](const RunConfig &cfg) {
-            auto cc = baseCompilerConfig(cfg);
-            cc.scheme = compiler::HintScheme::Tag;
-            cc.interprocFu = true;
-            return std::optional(cc);
-        },
-        nullptr,
-    });
+std::unique_ptr<IqLimitController>
+folegnaniResizer(const RunConfig &cfg)
+{
+    FolegnaniConfig fc = cfg.folegnani;
+    fc.iqSize = cfg.core.iq.numEntries;
+    return std::make_unique<FolegnaniResizer>(fc);
+}
 
-    defs.push_back({
-        "abella",
-        Technique::Abella,
-        "hardware adaptive IqRob64 comparator",
-        nullptr,
-        [](const RunConfig &cfg) -> std::unique_ptr<IqLimitController> {
-            AbellaConfig ac = cfg.abella;
-            ac.iqSize = cfg.core.iq.numEntries;
-            ac.robSize = cfg.core.robSize;
-            return std::make_unique<AbellaResizer>(ac);
-        },
-    });
-
-    defs.push_back({
-        "folegnani",
-        Technique::Folegnani,
-        "hardware adaptive resizer (ablation A4)",
-        nullptr,
-        [](const RunConfig &cfg) -> std::unique_ptr<IqLimitController> {
-            FolegnaniConfig fc = cfg.folegnani;
-            fc.iqSize = cfg.core.iq.numEntries;
-            return std::make_unique<FolegnaniResizer>(fc);
-        },
-    });
-
+/** The table, built on first use (safe from static initializers). */
+const std::array<TechniqueDef, 6> &
+table()
+{
+    static const std::array<TechniqueDef, 6> defs = {{
+        {"baseline", "fixed 80-entry IQ, no resizing", nullptr, nullptr},
+        {"noop", "compiler hints via special NOOPs (paper §5.2)",
+         noopScheme, nullptr},
+        {"extension", "compiler hints via instruction tags (paper §5.3)",
+         tagScheme, nullptr},
+        {"improved",
+         "Extension + inter-procedural FU analysis (paper §5.3)",
+         tagInterprocScheme, nullptr},
+        {"abella", "hardware adaptive IqRob64 comparator", nullptr,
+         abellaResizer},
+        {"folegnani", "hardware adaptive resizer (ablation A4)", nullptr,
+         folegnaniResizer},
+    }};
     return defs;
 }
 
 } // namespace
 
-struct TechniqueRegistry::Impl
-{
-    mutable std::mutex mu;
-    /** unique_ptr entries so find() results survive vector growth. */
-    std::vector<std::unique_ptr<TechniqueDef>> defs;
-};
-
-TechniqueRegistry::TechniqueRegistry() : impl(std::make_shared<Impl>())
-{
-    for (auto &def : builtinDefs())
-        impl->defs.push_back(
-            std::make_unique<TechniqueDef>(std::move(def)));
-}
-
-TechniqueRegistry &
-TechniqueRegistry::instance()
-{
-    static TechniqueRegistry registry;
-    return registry;
-}
-
-void
-TechniqueRegistry::add(TechniqueDef def)
-{
-    // names flow into CSV cells and JSON strings verbatim: keep them
-    // token-like so the report round-trip guarantee holds
-    if (def.name.empty())
-        fatal("technique name must not be empty");
-    for (char c : def.name) {
-        if (c == ',' || c == '"' || c == '\\' ||
-            static_cast<unsigned char>(c) < 0x20)
-            fatal("technique name '", def.name,
-                  "' contains a character that would break "
-                  "CSV/JSON export");
-    }
-
-    std::lock_guard lock(impl->mu);
-    for (const auto &d : impl->defs) {
-        if (d->name == def.name)
-            fatal("technique '", def.name, "' already registered");
-    }
-    impl->defs.push_back(
-        std::make_unique<TechniqueDef>(std::move(def)));
-}
-
-bool
-TechniqueRegistry::remove(const std::string &name)
-{
-    std::lock_guard lock(impl->mu);
-    for (auto it = impl->defs.begin(); it != impl->defs.end(); ++it) {
-        if ((*it)->name == name) {
-            impl->defs.erase(it);
-            return true;
-        }
-    }
-    return false;
-}
-
 const TechniqueDef *
-TechniqueRegistry::find(const std::string &name) const
+findTechnique(const std::string &name)
 {
-    std::lock_guard lock(impl->mu);
-    for (const auto &d : impl->defs) {
-        if (d->name == name)
-            return d.get();
+    for (const TechniqueDef &def : table()) {
+        if (def.name == name)
+            return &def;
     }
     return nullptr;
 }
 
 std::vector<std::string>
-TechniqueRegistry::names() const
-{
-    std::lock_guard lock(impl->mu);
-    std::vector<std::string> out;
-    out.reserve(impl->defs.size());
-    for (const auto &d : impl->defs)
-        out.push_back(d->name);
-    return out;
-}
-
-const TechniqueDef &
-techniqueDef(Technique tech)
-{
-    const TechniqueDef *def =
-        TechniqueRegistry::instance().find(techniqueName(tech));
-    SIQ_ASSERT(def != nullptr, "builtin technique missing from registry");
-    return *def;
-}
-
-const TechniqueDef *
-findTechnique(const std::string &name)
-{
-    return TechniqueRegistry::instance().find(name);
-}
-
-std::optional<Technique>
-techniqueFromName(const std::string &name)
-{
-    // a registry entry whose name is its own family name is a
-    // builtin; variants ("noop-floor8") carry a tag but are not one
-    const TechniqueDef *def = findTechnique(name);
-    if (def != nullptr && techniqueName(def->tag) == name)
-        return def->tag;
-    return std::nullopt;
-}
-
-std::vector<std::string>
 techniqueNames()
 {
-    return TechniqueRegistry::instance().names();
+    std::vector<std::string> out;
+    for (const TechniqueDef &def : table())
+        out.push_back(def.name);
+    return out;
 }
 
 } // namespace siq::sim

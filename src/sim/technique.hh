@@ -1,25 +1,24 @@
 /**
  * @file
- * The technique registry: every way of driving the machine — the
- * paper's three compiler schemes, the two hardware comparators, the
- * do-nothing baseline, and any ablation variant a bench or example
- * wants — is a named entry mapping to the two things a run needs:
- * an optional compiler configuration (how the program is annotated
- * before simulation) and an optional adaptive-resizer factory (the
- * IqLimitController handed to the core).
+ * The technique table: the six ways the paper drives the machine —
+ * the do-nothing baseline, the three compiler hint schemes and the
+ * two hardware resizers — each a named, immutable entry mapping to
+ * the two things a run needs: an optional compiler configuration (how
+ * the program is annotated before simulation) and an optional
+ * adaptive-resizer factory (the IqLimitController handed to the core).
  *
- * The built-in six register in one place (technique.cc); benches and
- * examples register ablation variants ("noop-floor8", "tag-r16", ...)
- * at startup and sweep over them exactly like built-ins. The registry
- * is the single source of truth: simulator.cc's runOne and the sweep
- * engine both resolve techniques here, so a registered variant behaves
+ * The table is fixed at compile time (technique.cc). A variant of a
+ * technique is not a new entry but a different RunConfig: the hint
+ * floor, redundant-hint elision, unrolling and every machine and
+ * resizer knob are serialized config fields, so an ablation is a
+ * plain spec that travels through `siqsim run` and serve. runOne and
+ * the sweep engine both resolve names here, so a technique behaves
  * identically under serial and threaded execution.
  */
 
 #ifndef SIQ_SIM_TECHNIQUE_HH
 #define SIQ_SIM_TECHNIQUE_HH
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -31,100 +30,32 @@
 namespace siq::sim
 {
 
-/** One registered technique. */
+/** One technique-table entry. */
 struct TechniqueDef
 {
-    /** Registry key; also what RunResult::technique reports. */
+    /** Table key; also what RunResult::technique reports. */
     std::string name;
-    /**
-     * Which built-in family the entry behaves like (used for
-     * RunResult::tech so existing figure code keys results the same
-     * way for variants as for the original).
-     */
-    Technique tag = Technique::Baseline;
     /** One-line description for listings. */
     std::string summary;
     /**
      * Produce the compiler configuration for a run, or nullopt when
-     * the program runs unannotated. Null function == no compiler.
+     * the program runs unannotated. Null == no compiler.
      */
-    std::function<std::optional<compiler::CompilerConfig>(
-        const RunConfig &)>
-        compilerConfig;
+    std::optional<compiler::CompilerConfig> (*compilerConfig)(
+        const RunConfig &) = nullptr;
     /**
-     * Produce the hardware resize controller for a run. Null
-     * function (or a factory returning nullptr) == no controller.
+     * Produce the hardware resize controller for a run. Null (or a
+     * factory returning nullptr) == no controller.
      */
-    std::function<std::unique_ptr<IqLimitController>(const RunConfig &)>
-        controller;
+    std::unique_ptr<IqLimitController> (*controller)(
+        const RunConfig &) = nullptr;
 };
 
-/** Name → TechniqueDef table. Thread-safe; built-ins pre-registered. */
-class TechniqueRegistry
-{
-  public:
-    /** The process-wide registry (created on first use). */
-    static TechniqueRegistry &instance();
-
-    /** Register a technique. @param def must carry a unique name;
-     *  duplicates are fatal. */
-    void add(TechniqueDef def);
-
-    /** Remove a registered technique. @return true if it existed. */
-    bool remove(const std::string &name);
-
-    /** Look up by name; nullptr when absent. The returned pointer
-     *  stays valid until the entry is removed. */
-    const TechniqueDef *find(const std::string &name) const;
-
-    /** All registered names, in registration order. */
-    std::vector<std::string> names() const;
-
-  private:
-    TechniqueRegistry();
-    struct Impl;
-    std::shared_ptr<Impl> impl;
-};
-
-/** The built-in definition for an enum technique. */
-const TechniqueDef &techniqueDef(Technique tech);
-
-/** Registry lookup by name; nullptr when absent. */
+/** Table lookup by name; nullptr when absent. */
 const TechniqueDef *findTechnique(const std::string &name);
 
-/** Map a name back to its built-in enum, if it is one. */
-std::optional<Technique> techniqueFromName(const std::string &name);
-
-/** All registered technique names (built-ins first). */
+/** All technique names, in table order (baseline first). */
 std::vector<std::string> techniqueNames();
-
-/**
- * RAII registration for bench/example-local ablation variants: the
- * variant is sweepable exactly like a built-in for the scope's
- * lifetime and unregistered on destruction. Note that registered
- * variants exist only in the defining process — a serialized spec
- * naming one cannot run under `siqsim` (DESIGN.md §8.1).
- */
-class ScopedTechnique
-{
-  public:
-    /** @param def the variant to register (fatal on name clash). */
-    explicit ScopedTechnique(TechniqueDef def) : name(def.name)
-    {
-        TechniqueRegistry::instance().add(std::move(def));
-    }
-
-    ~ScopedTechnique()
-    {
-        TechniqueRegistry::instance().remove(name);
-    }
-
-    ScopedTechnique(const ScopedTechnique &) = delete;
-    ScopedTechnique &operator=(const ScopedTechnique &) = delete;
-
-  private:
-    std::string name;
-};
 
 } // namespace siq::sim
 

@@ -156,12 +156,11 @@ class FamilyRegistry
 };
 
 /**
- * RAII registration for bench/test-local families, mirroring
- * sim::ScopedTechnique: the family is generatable and sweepable
- * exactly like a built-in for the scope's lifetime and unregistered
- * on destruction. A registered family exists only in the defining
- * process — a serialized spec naming one cannot run under `siqsim`
- * (the same portability rule as technique variants, DESIGN.md §8.1).
+ * RAII registration for bench/test-local families: the family is
+ * generatable and sweepable exactly like a built-in for the scope's
+ * lifetime and unregistered on destruction. A registered family
+ * exists only in the defining process — a serialized spec naming one
+ * cannot run under `siqsim` (DESIGN.md §8.1).
  */
 class ScopedFamily
 {

@@ -3,7 +3,8 @@
 # speculative-mode cell per technique, run through the checkpointed
 # path, with every export round-tripping byte-exactly — and the
 # --speculative toggle actually speculating (nonzero squash counters
-# in the JSON) while leaving oracle-mode spec bytes untouched.
+# in the JSON) while leaving oracle-mode spec bytes untouched — and an
+# invalid config failing cleanly at the spec reader.
 #
 # Usage: cli_spec_smoke.sh /path/to/siqsim
 set -euo pipefail
@@ -54,6 +55,17 @@ grep -q 'stats_wrongPathFetched' direct.csv
     --csv oracle.csv
 if grep -q 'wrongPathFetched\|"squashes"' oracle.json oracle.csv; then
     echo "oracle-mode exports must not carry speculation fields" >&2
+    exit 1
+fi
+
+# an invalid config is rejected where the spec enters (exit 1, the
+# field named), never by an abort inside the core (exit 134)
+sed 's/"robSize":128/"robSize":0/' oracle_spec.json > bad_spec.json
+status=0
+"$SIQSIM" run --spec bad_spec.json --json bad.json 2> bad.err || status=$?
+if [ "$status" -ne 1 ] || ! grep -q 'base.core.robSize' bad.err; then
+    echo "invalid spec: want exit 1 naming base.core.robSize, got" \
+        "$status: $(cat bad.err)" >&2
     exit 1
 fi
 

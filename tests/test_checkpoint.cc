@@ -153,7 +153,6 @@ TEST(SpecJson, ExactRoundTrip)
     EXPECT_EQ(back.base.core.mem.l1d.name, "little-l1d");
     EXPECT_EQ(back.base.abella.stallFractionToGrow,
               spec.base.abella.stallFractionToGrow);
-    EXPECT_FALSE(back.perCell);
     // re-serialization is the full-field equality check: every
     // serialized field is byte-identical through the round trip
     EXPECT_EQ(sim::toJson(back), sim::toJson(spec));
@@ -174,7 +173,7 @@ TEST(CheckpointJson, RoundTripWithAndWithoutAggregate)
     cfg.workload.repDivisor = 40;
     cfg.warmupInsts = 2000;
     cfg.measureInsts = 20000;
-    const auto run = sim::runOne("gzip", cfg);
+    const auto run = sim::runOne("gzip", "baseline", cfg);
 
     sim::CellCheckpoint plain;
     plain.index = 7;
@@ -611,6 +610,58 @@ const char *const oldSweepExport =
     ":0,\"seconds\":0}}\n"
     "]}\n";
 
+/** `siqsim spec --workloads gzip,phased:period=60000 --techniques all
+ *  --warmup 2000 --measure 10000 --rep-divisor 40`, as written before
+ *  the config schema moved to field lists (sim/fields.hh). */
+const char *const oldOracleSpec =
+    "{\"benchmarks\":[{\"family\":\"gzip\"},{\"family\":\"phased\",\"params"
+    "\":{\"period\":60000}}],\"techniques\":[\"baseline\",\"noop\",\"extens"
+    "ion\",\"improved\",\"abella\",\"folegnani\"],\"jobs\":0,\"seeds\":0,\n"
+    "\"base\":{\"workload\":{\"scale\":1,\"repDivisor\":40,\"seed\":12345},"
+    "\"warmupInsts\":2000,\"measureInsts\":10000,\"minHint\":4,\"elideRedun"
+    "dant\":true,\"unrollFactor\":4,\"core\":{\"fetchWidth\":8,\"dispatchWi"
+    "dth\":8,\"issueWidth\":8,\"commitWidth\":8,\"decodeDepth\":3,\"fetchQu"
+    "eueSize\":32,\"robSize\":128,\"iq\":{\"numEntries\":80,\"bankSize\":8}"
+    ",\"lsq\":{\"numEntries\":64},\"intRegs\":{\"numPhys\":112,\"numArch\":"
+    "32,\"bankSize\":8},\"fpRegs\":{\"numPhys\":112,\"numArch\":32,\"bankSi"
+    "ze\":8},\"fuCounts\":[1048576,6,3,4,2,2],\"bpred\":{\"gshareEntries\":"
+    "2048,\"bimodalEntries\":2048,\"selectorEntries\":1024,\"btbEntries\":2"
+    "048,\"btbAssoc\":4,\"rasEntries\":8},\"mem\":{\"l1i\":{\"name\":\"l1i"
+    "\",\"sizeBytes\":65536,\"assoc\":2,\"lineBytes\":32,\"hitLatency\":1},"
+    "\"l1d\":{\"name\":\"l1d\",\"sizeBytes\":65536,\"assoc\":4,\"lineBytes"
+    "\":32,\"hitLatency\":2},\"l2\":{\"name\":\"l2\",\"sizeBytes\":524288,"
+    "\"assoc\":8,\"lineBytes\":64,\"hitLatency\":10},\"memLatency\":50}},\""
+    "abella\":{\"iqSize\":80,\"robSize\":128,\"portion\":8,\"minIq\":16,\"r"
+    "obFloor\":64,\"intervalCycles\":16384,\"slackPortions\":1,\"stallFract"
+    "ionToGrow\":0.050000000000000003},\"folegnani\":{\"iqSize\":80,\"porti"
+    "on\":8,\"minSize\":16,\"intervalCycles\":1000,\"contributionThreshold"
+    "\":4,\"expandPeriod\":4}}}\n";
+
+/** The same CLI on perlbmk with `--techniques baseline,noop
+ *  --speculative`, from the same writer. */
+const char *const oldSpeculativeSpec =
+    "{\"benchmarks\":[{\"family\":\"perlbmk\"}],\"techniques\":[\"baseline"
+    "\",\"noop\"],\"jobs\":0,\"seeds\":0,\n"
+    "\"base\":{\"workload\":{\"scale\":1,\"repDivisor\":40,\"seed\":12345},"
+    "\"warmupInsts\":2000,\"measureInsts\":10000,\"minHint\":4,\"elideRedun"
+    "dant\":true,\"unrollFactor\":4,\"core\":{\"fetchWidth\":8,\"dispatchWi"
+    "dth\":8,\"issueWidth\":8,\"commitWidth\":8,\"decodeDepth\":3,\"fetchQu"
+    "eueSize\":32,\"robSize\":128,\"iq\":{\"numEntries\":80,\"bankSize\":8}"
+    ",\"lsq\":{\"numEntries\":64},\"intRegs\":{\"numPhys\":112,\"numArch\":"
+    "32,\"bankSize\":8},\"fpRegs\":{\"numPhys\":112,\"numArch\":32,\"bankSi"
+    "ze\":8},\"fuCounts\":[1048576,6,3,4,2,2],\"bpred\":{\"gshareEntries\":"
+    "2048,\"bimodalEntries\":2048,\"selectorEntries\":1024,\"btbEntries\":2"
+    "048,\"btbAssoc\":4,\"rasEntries\":8},\"specFrontEnd\":true,\"mem\":{\""
+    "l1i\":{\"name\":\"l1i\",\"sizeBytes\":65536,\"assoc\":2,\"lineBytes\":"
+    "32,\"hitLatency\":1},\"l1d\":{\"name\":\"l1d\",\"sizeBytes\":65536,\"a"
+    "ssoc\":4,\"lineBytes\":32,\"hitLatency\":2},\"l2\":{\"name\":\"l2\",\""
+    "sizeBytes\":524288,\"assoc\":8,\"lineBytes\":64,\"hitLatency\":10},\"m"
+    "emLatency\":50}},\"abella\":{\"iqSize\":80,\"robSize\":128,\"portion\""
+    ":8,\"minIq\":16,\"robFloor\":64,\"intervalCycles\":16384,\"slackPortio"
+    "ns\":1,\"stallFractionToGrow\":0.050000000000000003},\"folegnani\":{\""
+    "iqSize\":80,\"portion\":8,\"minSize\":16,\"intervalCycles\":1000,\"con"
+    "tributionThreshold\":4,\"expandPeriod\":4}}}\n";
+
 /** The tiny grid the old checkpoints and canonical export came from. */
 sim::SweepSpec
 oldGridSpec()
@@ -676,6 +727,26 @@ TEST(OldExports, CurrentSimulatorReproducesOldCanonicalExport)
 {
     sim::ExperimentRunner runner;
     EXPECT_EQ(jsonOf(runner.run(oldGridSpec())), oldCanonicalExport);
+}
+
+TEST(OldExports, OldSpecsReadBackByteIdentically)
+{
+    // initRunDir compares spec.json byte-wise: a run directory started
+    // by the older writer must still resume
+    for (const char *text : {oldOracleSpec, oldSpeculativeSpec}) {
+        std::istringstream is(text);
+        EXPECT_EQ(sim::toJson(sim::readSpecJson(is)), text);
+    }
+}
+
+TEST(OldExports, UnknownTechniqueFamilyIsRejected)
+{
+    std::string text = oldCell0;
+    const std::string family = "\"family\":\"baseline\"";
+    ASSERT_NE(text.find(family), std::string::npos);
+    text.replace(text.find(family), family.size(),
+                 "\"family\":\"noop-floor8\"");
+    EXPECT_THROW(sim::cellCheckpointFromJson(text), FatalError);
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include "common/random.hh"
 #include "ir/exec.hh"
 #include "sim/simulator.hh"
+#include "sim/technique.hh"
 
 namespace siq
 {
@@ -55,25 +56,21 @@ TEST_P(BenchmarkSuite, TechniquesPreserveFunctionalBehaviour)
     const Program plain = workloads::generate(GetParam(), tiny());
     const auto ref = referenceImage(plain);
 
-    for (auto tech :
-         {sim::Technique::Noop, sim::Technique::Extension,
-          sim::Technique::Improved}) {
+    for (const char *tech : {"noop", "extension", "improved"}) {
         Program prog = workloads::generate(GetParam(), tiny());
-        sim::RunConfig rc;
-        const auto cc = sim::compilerConfigFor(tech, rc);
+        const auto cc =
+            sim::findTechnique(tech)->compilerConfig(sim::RunConfig{});
         ASSERT_TRUE(cc.has_value());
         compiler::annotate(prog, *cc);
 
         Core core(prog, CoreConfig{});
         core.run(1u << 24);
         ASSERT_TRUE(core.done())
-            << GetParam() << " did not finish under "
-            << sim::techniqueName(tech);
+            << GetParam() << " did not finish under " << tech;
         for (std::uint64_t a = 0; a < 64; a++)
             ASSERT_EQ(core.exec().readMem(a),
                       ref[static_cast<std::size_t>(a)])
-                << GetParam() << "/" << sim::techniqueName(tech)
-                << " word " << a;
+                << GetParam() << "/" << tech << " word " << a;
     }
 }
 
@@ -87,9 +84,9 @@ TEST_P(BenchmarkSuite, HintsNeverRaiseOccupancy)
         static_cast<double>(base.iqEvents().cycles);
 
     Program hinted = workloads::generate(GetParam(), tiny());
-    sim::RunConfig rc;
-    compiler::annotate(
-        hinted, *sim::compilerConfigFor(sim::Technique::Noop, rc));
+    const auto cc =
+        sim::findTechnique("noop")->compilerConfig(sim::RunConfig{});
+    compiler::annotate(hinted, *cc);
     Core noop(hinted, CoreConfig{});
     noop.run(1u << 24);
     const double noopOcc =
@@ -100,15 +97,13 @@ TEST_P(BenchmarkSuite, HintsNeverRaiseOccupancy)
 
 TEST_P(BenchmarkSuite, AdaptiveControllersRunToCompletion)
 {
-    for (auto tech :
-         {sim::Technique::Abella, sim::Technique::Folegnani}) {
+    for (const char *tech : {"abella", "folegnani"}) {
         sim::RunConfig cfg;
-        cfg.tech = tech;
         cfg.workload = tiny();
         cfg.warmupInsts = 2000;
         cfg.measureInsts = 40000;
-        const auto result = sim::runOne(GetParam(), cfg);
-        EXPECT_GT(result.ipc(), 0.01) << sim::techniqueName(tech);
+        const auto result = sim::runOne(GetParam(), tech, cfg);
+        EXPECT_GT(result.ipc(), 0.01) << tech;
         EXPECT_LE(result.ipc(), 8.0);
     }
 }
@@ -148,10 +143,8 @@ TEST_P(BenchmarkSuite, FacadeProducesCoherentResults)
     cfg.workload = tiny();
     cfg.warmupInsts = 2000;
     cfg.measureInsts = 30000;
-    cfg.tech = sim::Technique::Baseline;
-    const auto base = sim::runOne(GetParam(), cfg);
-    cfg.tech = sim::Technique::Noop;
-    const auto noop = sim::runOne(GetParam(), cfg);
+    const auto base = sim::runOne(GetParam(), "baseline", cfg);
+    const auto noop = sim::runOne(GetParam(), "noop", cfg);
 
     EXPECT_GT(base.ipc(), 0.05);
     EXPECT_GE(noop.stats.hintsApplied, 0u);

@@ -47,13 +47,19 @@ baseSpec(std::vector<std::string> benches)
     return spec;
 }
 
+/** A request line carrying @p sj, a spec's JSON text. */
 std::string
-requestLine(const std::string &id, const sim::SweepSpec &spec)
+requestLine(const std::string &id, std::string sj)
 {
-    std::string sj = sim::toJson(spec);
     while (!sj.empty() && sj.back() == '\n')
         sj.pop_back();
     return "{\"id\":" + json::quote(id) + ",\"spec\":" + sj + "}";
+}
+
+std::string
+requestLine(const std::string &id, const sim::SweepSpec &spec)
+{
+    return requestLine(id, sim::toJson(spec));
 }
 
 std::string
@@ -173,6 +179,70 @@ TEST(Serve, MalformedRequestsRecoverPerClient)
               jsonOf(plain.run(spec)));
 
     EXPECT_EQ(engine.stats().errors, 4u);
+    EXPECT_EQ(engine.stats().requests, 1u);
+}
+
+TEST(Serve, InvalidConfigsGetErrorRecordsNamingTheField)
+{
+    // each would abort or trap inside the core (or, for the 2^32 + 1
+    // table size, silently truncate) if it got past the spec reader
+    const auto good = baseSpec({"gzip"});
+    auto with = [&](void (*mutate)(sim::SweepSpec &)) {
+        sim::SweepSpec spec = good;
+        mutate(spec);
+        return sim::toJson(spec);
+    };
+    std::string huge = sim::toJson(good);
+    const std::string gshare = "\"gshareEntries\":2048";
+    ASSERT_NE(huge.find(gshare), std::string::npos);
+    huge.replace(huge.find(gshare), gshare.size(),
+                 "\"gshareEntries\":4294967297");
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {with([](auto &s) { s.base.core.robSize = 0; }),
+         "base.core.robSize"},
+        {with([](auto &s) { s.base.core.fetchQueueSize = 0; }),
+         "base.core.fetchQueueSize"},
+        {with([](auto &s) { s.base.core.iq.bankSize = 0; }),
+         "base.core.iq.bankSize"},
+        {with([](auto &s) { s.base.core.iq.numEntries = 81; }),
+         "base.core.iq.numEntries"},
+        {with([](auto &s) { s.base.core.bpred.btbAssoc = 0; }),
+         "base.core.bpred.btbAssoc"},
+        {with([](auto &s) { s.base.core.bpred.btbEntries = 0; }),
+         "base.core.bpred.btbEntries"},
+        {with([](auto &s) { s.base.core.bpred.gshareEntries = 0; }),
+         "base.core.bpred.gshareEntries"},
+        {with([](auto &s) { s.base.core.intRegs.numArch = -5; }),
+         "base.core.intRegs.numArch"},
+        {with([](auto &s) { s.base.core.fuCounts[1] = 0; }),
+         "base.core.fuCounts"},
+        {huge, "base.core.bpred.gshareEntries"},
+    };
+
+    sim::ServeEngine engine({});
+    auto client = engine.connect();
+    for (std::size_t i = 0; i < bad.size(); i++)
+        client->submitLine(
+            requestLine("bad" + std::to_string(i), bad[i].first));
+    client->submitLine(requestLine("ok", good));
+    client->endOfInput();
+
+    const auto recs = drain(*client);
+    ASSERT_EQ(recs.size(), bad.size() + 3);
+    for (std::size_t i = 0; i < bad.size(); i++) {
+        EXPECT_EQ(eventOf(recs[i]), "error") << i;
+        EXPECT_EQ(field(recs[i], "id").asString(),
+                  "bad" + std::to_string(i));
+        EXPECT_NE(field(recs[i], "error").asString().find(bad[i].second),
+                  std::string::npos)
+            << field(recs[i], "error").asString();
+    }
+    EXPECT_EQ(eventOf(recs[bad.size()]), "accepted");
+    EXPECT_EQ(eventOf(recs.back()), "done");
+    sim::ExperimentRunner plain;
+    EXPECT_EQ(field(recs.back(), "export").asString(),
+              jsonOf(plain.run(good)));
+    EXPECT_EQ(engine.stats().errors, bad.size());
     EXPECT_EQ(engine.stats().requests, 1u);
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the experiment engine: the technique registry, the
+ * Tests for the experiment engine: the technique table, the
  * threaded sweep runner's determinism (bit-identical to serial
  * runOne), exact cache accounting, JSON round-tripping and the CSV
  * export's shape.
@@ -23,8 +23,6 @@ namespace siq
 {
 namespace
 {
-
-using sim::Technique;
 
 const std::vector<std::string> someBenches = {"gzip", "mcf", "vortex"};
 const std::vector<std::string> someTechs = {"baseline", "noop",
@@ -60,7 +58,7 @@ jsonOf(const sim::SweepResult &s)
     return os.str();
 }
 
-TEST(TechniqueRegistry, BuiltinsAreRegistered)
+TEST(TechniqueTable, BuiltinsAreRegistered)
 {
     const auto names = sim::techniqueNames();
     for (const char *name : {"baseline", "noop", "extension",
@@ -74,64 +72,21 @@ TEST(TechniqueRegistry, BuiltinsAreRegistered)
     EXPECT_EQ(sim::findTechnique("no-such-technique"), nullptr);
 }
 
-TEST(TechniqueRegistry, EnumNameRoundTrip)
+TEST(TechniqueTable, FactoriesMatchLegacyMapping)
 {
-    for (auto tech :
-         {Technique::Baseline, Technique::Noop, Technique::Extension,
-          Technique::Improved, Technique::Abella,
-          Technique::Folegnani}) {
-        const auto back =
-            sim::techniqueFromName(sim::techniqueName(tech));
-        ASSERT_TRUE(back.has_value());
-        EXPECT_EQ(*back, tech);
-        EXPECT_EQ(sim::techniqueDef(tech).name,
-                  sim::techniqueName(tech));
-    }
-    EXPECT_FALSE(sim::techniqueFromName("nope").has_value());
-}
-
-TEST(TechniqueRegistry, FactoriesMatchLegacyMapping)
-{
+    const auto factoryOf = [](const char *name) {
+        return sim::findTechnique(name)->compilerConfig;
+    };
+    EXPECT_EQ(factoryOf("baseline"), nullptr);
     sim::RunConfig cfg;
-    EXPECT_FALSE(
-        sim::compilerConfigFor(Technique::Baseline, cfg).has_value());
-    const auto noop = sim::compilerConfigFor(Technique::Noop, cfg);
+    const auto noop = factoryOf("noop")(cfg);
     ASSERT_TRUE(noop.has_value());
     EXPECT_EQ(noop->scheme, compiler::HintScheme::Noop);
     EXPECT_FALSE(noop->interprocFu);
-    const auto improved =
-        sim::compilerConfigFor(Technique::Improved, cfg);
+    const auto improved = factoryOf("improved")(cfg);
     ASSERT_TRUE(improved.has_value());
     EXPECT_EQ(improved->scheme, compiler::HintScheme::Tag);
     EXPECT_TRUE(improved->interprocFu);
-}
-
-TEST(TechniqueRegistry, ScopedVariantRegistersAndUnregisters)
-{
-    {
-        sim::ScopedTechnique variant({
-            "noop-floor16",
-            Technique::Noop,
-            "noop scheme with a 16-entry hint floor",
-            [](const sim::RunConfig &cfg) {
-                auto cc = *sim::compilerConfigFor(Technique::Noop, cfg);
-                cc.minHint = 16;
-                return std::optional(cc);
-            },
-            nullptr,
-        });
-        ASSERT_NE(sim::findTechnique("noop-floor16"), nullptr);
-
-        sim::RunConfig cfg;
-        cfg.workload.repDivisor = 40;
-        cfg.warmupInsts = 2000;
-        cfg.measureInsts = 20000;
-        const auto r = sim::runOne("gzip", "noop-floor16", cfg);
-        EXPECT_EQ(r.technique, "noop-floor16");
-        EXPECT_EQ(r.tech, Technique::Noop);
-        EXPECT_GT(r.ipc(), 0.0);
-    }
-    EXPECT_EQ(sim::findTechnique("noop-floor16"), nullptr);
 }
 
 TEST(ExperimentRunner, ThreadedIsBitIdenticalToSerial)
@@ -146,10 +101,8 @@ TEST(ExperimentRunner, ThreadedIsBitIdenticalToSerial)
 
     for (std::size_t t = 0; t < spec.techniques.size(); t++) {
         for (std::size_t b = 0; b < spec.benchmarks.size(); b++) {
-            sim::RunConfig cfg = spec.base;
-            cfg.tech = *sim::techniqueFromName(spec.techniques[t]);
-            const auto serial =
-                sim::runOne(spec.benchmarks[b], cfg);
+            const auto serial = sim::runOne(
+                spec.benchmarks[b], spec.techniques[t], spec.base);
             const auto &cell = sweep.at(t, b);
             EXPECT_EQ(cell.benchmark, spec.benchmarks[b]);
             EXPECT_EQ(cell.technique, spec.techniques[t]);
@@ -205,21 +158,38 @@ TEST(ExperimentRunner, WorkloadsAreBuiltExactlyOnce)
     }
 }
 
-TEST(ExperimentRunner, PerCellOverridesApply)
+TEST(ExperimentRunner, AblationsArePlainSpecs)
 {
-    auto spec = smallSpec();
-    spec.benchmarks = {"gzip"};
-    spec.techniques = {"baseline"};
-    spec.perCell = [](sim::RunConfig &cfg, const sim::CellKey &key) {
-        EXPECT_EQ(key.benchmark, "gzip");
-        EXPECT_EQ(key.technique, "baseline");
-        cfg.measureInsts = 30000;
-    };
+    // an ablation is a sweep over a different base config: each
+    // compiler knob change builds its own annotated program, and
+    // every cell equals a serial runOne with the same config (parser:
+    // a family where both knobs change the inserted NOOP count)
+    sim::SweepSpec spec;
+    spec.benchmarks = {"parser"};
+    spec.techniques = {"noop"};
+    spec.base.workload.repDivisor = 40;
+    spec.base.warmupInsts = 2000;
+    spec.base.measureInsts = 20000;
+    spec.seeds = 1;
     sim::ExperimentRunner runner;
-    const auto sweep = runner.run(spec);
-    ASSERT_EQ(sweep.cells.size(), 1u);
-    EXPECT_GE(sweep.cells[0].stats.committed, 29000u);
-    EXPECT_LT(sweep.cells[0].stats.committed, 45000u);
+    const auto cellWith = [&](int minHint, bool elide) {
+        sim::SweepSpec s = spec;
+        s.base.minHint = minHint;
+        s.base.elideRedundant = elide;
+        const auto sweep = runner.run(s);
+        EXPECT_TRUE(sim::identicalMeasurement(
+            sweep.cells[0], sim::runOne("parser", "noop", s.base)))
+            << "minHint " << minHint << " elide " << elide;
+        return sweep.cells[0].compile.hintNoopsInserted;
+    };
+
+    EXPECT_NE(cellWith(4, true), cellWith(16, true));
+    EXPECT_EQ(runner.cacheStats().compileBuilds, 2u);
+    EXPECT_EQ(runner.cacheStats().compileHits, 0u);
+
+    EXPECT_NE(cellWith(8, true), cellWith(8, false));
+    EXPECT_EQ(runner.cacheStats().compileBuilds, 4u);
+    EXPECT_EQ(runner.cacheStats().compileHits, 0u);
 }
 
 TEST(ExperimentRunner, UnknownTechniqueIsFatal)
@@ -278,12 +248,11 @@ TEST(Replication, AggregatesMatchSerialRunOneFolds)
         stats::RunningStats cycles, ipc, broadcasts;
         for (std::size_t r = 0; r < 3; r++) {
             sim::RunConfig cfg = spec.base;
-            cfg.tech = *sim::techniqueFromName(spec.techniques[t]);
             if (r > 0) {
                 cfg.workload.seed = sim::ExperimentRunner::mixSeed(
                     cfg.workload.seed, r, 0);
             }
-            const auto run = sim::runOne("gzip", cfg);
+            const auto run = sim::runOne("gzip", spec.techniques[t], cfg);
             cycles.sample(static_cast<double>(run.stats.cycles));
             broadcasts.sample(static_cast<double>(run.iq.broadcasts));
             ipc.sample(run.ipc());
