@@ -470,7 +470,7 @@ Core::dispatchStage()
             _stats.stores++;
         if (needsIq) {
             iq.dispatch(robIdx, front.psrc1, ready1, front.psrc2,
-                        ready2, front.seq);
+                        ready2);
         }
         rob[robIdx] = {front.si, front.oldPdst,
                        static_cast<std::int8_t>(dstFile)};
@@ -554,7 +554,6 @@ Core::fetchStage()
         const std::uint64_t actualNext =
             di.step.halted ? 0 : _exec.peek().pc;
         di.si = di.step.inst;
-        di.seq = seqCounter++;
         di.pc = di.si->pc;
         di.decodeReadyCycle =
             now + static_cast<std::uint64_t>(cfg.decodeDepth);
@@ -631,7 +630,6 @@ Core::wrongPathFetchStage()
         di.stallsFetch = false;
         di.wrongPath = true;
         di.si = loc.si;
-        di.seq = seqCounter++;
         di.pc = wpPc;
         di.step = StepResult{};
         di.step.inst = loc.si;

@@ -167,7 +167,6 @@ struct CoreStats
 struct DynInst
 {
     const StaticInst *si = nullptr;
-    std::uint64_t seq = 0;
     std::uint64_t pc = 0;
     StepResult step;
     int dstFile = -1; ///< 0 int, 1 fp, -1 none
@@ -477,7 +476,6 @@ class Core
     CompletionWheel wheel;
 
     std::uint64_t now = 0;
-    std::uint64_t seqCounter = 0;
     bool fetchBlocked = false;       ///< waiting on a mispredict
     std::uint64_t fetchResumeCycle = 0;
     std::uint64_t icacheReadyCycle = 0;

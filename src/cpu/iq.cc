@@ -47,7 +47,7 @@ IssueQueue::IssueQueue(const IqConfig &config) : cfg(config)
 
 int
 IssueQueue::dispatch(int robIdx, int psrc1, bool ready1, int psrc2,
-                     bool ready2, std::uint64_t seq)
+                     bool ready2)
 {
     SIQ_ASSERT(canDispatch(), "dispatch into a blocked queue");
     const int slot = tail;
@@ -59,7 +59,6 @@ IssueQueue::dispatch(int robIdx, int psrc1, bool ready1, int psrc2,
     e.psrc2 = psrc2;
     e.ready1 = ready1 || psrc1 < 0;
     e.ready2 = ready2 || psrc2 < 0;
-    e.seq = seq;
     const int bank = slot / cfg.bankSize;
     const int pending = (e.ready1 ? 0 : 1) + (e.ready2 ? 0 : 1);
     if (!e.ready1) {

@@ -87,7 +87,7 @@ class IssueQueue
      * @return slot index (for issue bookkeeping).
      */
     int dispatch(int robIdx, int psrc1, bool ready1, int psrc2,
-                 bool ready2, std::uint64_t seq);
+                 bool ready2);
 
     /** Apply a compiler hint: new_head <- tail, set the range. */
     void applyHint(int entries);
@@ -178,7 +178,6 @@ class IssueQueue
         int psrc2 = -1;
         bool ready1 = true;
         bool ready2 = true;
-        std::uint64_t seq = 0;
     };
 
     int

@@ -40,12 +40,10 @@ wrapMul(std::int64_t a, std::int64_t b)
 ExecContext::ExecContext(const Program &prog_)
     : prog(prog_), proc(prog_.entryProc)
 {
-    const std::int64_t *image = prog.initialMemory().data();
-    const std::uint64_t npages =
-        (prog.memWords + pageWords - 1) >> pageShift;
+    const std::uint64_t npages = prog.memPages();
     pages.resize(npages);
     for (std::uint64_t p = 0; p < npages; p++)
-        pages[p] = image + (p << pageShift);
+        pages[p] = prog.initialPage(p);
     owned.resize(npages);
     normalize();
 }
@@ -53,9 +51,11 @@ ExecContext::ExecContext(const Program &prog_)
 std::int64_t *
 ExecContext::copyPage(std::uint64_t p)
 {
-    const std::uint64_t first = p << pageShift;
-    const std::uint64_t n = std::min(pageWords, prog.memWords - first);
-    owned[p] = std::make_unique_for_overwrite<std::int64_t[]>(pageWords);
+    const std::uint64_t first = p << memPageShift;
+    const std::uint64_t n =
+        std::min(memPageWords, prog.memWords - first);
+    owned[p] =
+        std::make_unique_for_overwrite<std::int64_t[]>(memPageWords);
     std::int64_t *page = owned[p].get();
     std::copy_n(pages[p], n, page);
     pages[p] = page;
@@ -78,21 +78,6 @@ ExecContext::normalize()
             _halted = true;
         }
     }
-}
-
-std::uint64_t
-ExecContext::wrap(std::int64_t wordAddr) const
-{
-    // Addresses wrap modulo the memory size; keeps synthetic workloads
-    // deterministic even when index arithmetic overshoots. In-range
-    // addresses, nearly all of them, skip the division.
-    if (static_cast<std::uint64_t>(wordAddr) < prog.memWords)
-        return static_cast<std::uint64_t>(wordAddr);
-    const auto size = static_cast<std::int64_t>(prog.memWords);
-    std::int64_t m = wordAddr % size;
-    if (m < 0)
-        m += size;
-    return static_cast<std::uint64_t>(m);
 }
 
 std::int64_t

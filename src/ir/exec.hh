@@ -9,7 +9,7 @@
  * property.
  *
  * Data memory is copy-on-write over the program's shared initial
- * image (Program::initialMemory()): a context starts with per-page
+ * image (Program::initialPage()): a context starts with per-page
  * read pointers into the image and copies a page on its first store,
  * so constructing a context costs a page table, not a memory image.
  */
@@ -94,25 +94,26 @@ class ExecContext
         int instIdx;
     };
 
-    /** Copy-on-write page size, in words (4 KiB pages). */
-    static constexpr int pageShift = 9;
-    static constexpr std::uint64_t pageWords = 1ull << pageShift;
-
-    std::uint64_t wrap(std::int64_t wordAddr) const;
+    std::uint64_t
+    wrap(std::int64_t wordAddr) const
+    {
+        return wrapWordAddr(wordAddr, prog.memWords);
+    }
 
     std::int64_t
     load(std::uint64_t wordAddr) const
     {
-        return pages[wordAddr >> pageShift][wordAddr & (pageWords - 1)];
+        return pages[wordAddr >> memPageShift]
+                    [wordAddr & (memPageWords - 1)];
     }
 
     void
     store(std::uint64_t wordAddr, std::int64_t value)
     {
-        std::int64_t *page = owned[wordAddr >> pageShift].get();
+        std::int64_t *page = owned[wordAddr >> memPageShift].get();
         if (page == nullptr)
-            page = copyPage(wordAddr >> pageShift);
-        page[wordAddr & (pageWords - 1)] = value;
+            page = copyPage(wordAddr >> memPageShift);
+        page[wordAddr & (memPageWords - 1)] = value;
     }
 
     /** Give page @p p a private copy (first store to it). */

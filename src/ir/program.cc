@@ -1,7 +1,6 @@
 #include "ir/program.hh"
 
 #include <algorithm>
-#include <mutex>
 
 #include "common/logging.hh"
 
@@ -9,55 +8,22 @@ namespace siq
 {
 
 /**
- * The dense initial data-memory image of a program: memInit applied to
- * zeroed memory. Built once, on the first ExecContext that needs it,
- * and shared read-only by every context (and by every copy of the
- * program that keeps the same memory) for the program's lifetime.
+ * The initial data memory of a program, one entry per page. A null
+ * entry is the shared zero page. Pages are shared with every image
+ * cloned from this one, so a page is written in place only while its
+ * use count is 1.
  */
-class MemImage
+struct MemImage
 {
-  public:
-    /** @param key fingerprint of the memory it images (memWords and
-     *  memInit), so a re-finalized program keeps the image only while
-     *  its memory is unchanged */
-    explicit MemImage(std::uint64_t key) : _key(key) {}
-
-    std::uint64_t key() const { return _key; }
-
-    /** The image of @p memWords words with @p init applied (addresses
-     *  wrap modulo memWords); built on the first call, thread-safe. */
-    const std::vector<std::int64_t> &
-    words(std::uint64_t memWords,
-          const std::vector<std::pair<std::uint64_t, std::int64_t>> &init)
-        const;
-
-  private:
-    std::uint64_t _key;
-    mutable std::once_flag built;
-    mutable std::vector<std::int64_t> dense;
+    std::vector<std::shared_ptr<std::int64_t[]>> pages;
 };
 
 namespace
 {
 
-/** Fingerprint of the data memory a MemImage images (a word-wise
- *  multiply-xorshift hash: cheap enough to run on every finalize). */
-std::uint64_t
-memoryKey(const Program &prog)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-        h = (h ^ v) * 0x9e3779b97f4a7c15ull;
-        h ^= h >> 29;
-    };
-    mix(prog.memWords);
-    mix(prog.memInit.size());
-    for (const auto &[addr, value] : prog.memInit) {
-        mix(addr);
-        mix(static_cast<std::uint64_t>(value));
-    }
-    return h;
-}
+/** The one process-wide page of zeros: every page never given a
+ *  nonzero word, in every program, reads through it. */
+constexpr std::int64_t zeroPage[memPageWords] = {};
 
 } // namespace
 
@@ -77,30 +43,47 @@ blockStartPc(const Program &prog, int proc, int block)
     }
 }
 
-const std::vector<std::int64_t> &
-MemImage::words(
-    std::uint64_t memWords,
-    const std::vector<std::pair<std::uint64_t, std::int64_t>> &init) const
+void
+Program::initWord(std::int64_t wordAddr, std::int64_t value)
 {
-    std::call_once(built, [&] {
-        dense.assign(memWords, 0);
-        // signed wrap, exactly as the interpreter wraps addresses
-        const auto size = static_cast<std::int64_t>(memWords);
-        for (const auto &[addr, value] : init) {
-            std::int64_t m = static_cast<std::int64_t>(addr) % size;
-            if (m < 0)
-                m += size;
-            dense[static_cast<std::size_t>(m)] = value;
-        }
-    });
-    return dense;
+    SIQ_ASSERT(memWords > 0, "zero-size memory");
+    SIQ_ASSERT(memImage == nullptr || memImage->pages.size() == memPages(),
+               "program ", name, ": memWords changed after initWord");
+    const std::uint64_t w = wrapWordAddr(wordAddr, memWords);
+    const std::uint64_t p = w >> memPageShift;
+    if (value == 0 && (memImage == nullptr || memImage->pages[p] == nullptr))
+        return; // already zero
+
+    // write in place only while no other program shares the image
+    if (memImage == nullptr || memImage.use_count() > 1) {
+        auto image = memImage == nullptr
+                         ? std::make_shared<MemImage>()
+                         : std::make_shared<MemImage>(*memImage);
+        image->pages.resize(memPages());
+        memImage = std::move(image);
+    }
+    // every image is created non-const just above
+    auto &page = const_cast<MemImage &>(*memImage).pages[p];
+    if (page == nullptr || page.use_count() > 1) {
+        auto fresh = std::make_shared_for_overwrite<std::int64_t[]>(
+            memPageWords);
+        std::copy_n(page == nullptr ? zeroPage : page.get(), memPageWords,
+                    fresh.get());
+        page = std::move(fresh);
+    }
+    page[w & (memPageWords - 1)] = value;
 }
 
-const std::vector<std::int64_t> &
-Program::initialMemory() const
+const std::int64_t *
+Program::initialPage(std::uint64_t p) const
 {
-    SIQ_ASSERT(memImage != nullptr, "program ", name, " not finalized");
-    return memImage->words(memWords, memInit);
+    SIQ_ASSERT(p < memPages(), "page ", p, " past the end of memory");
+    if (memImage == nullptr)
+        return zeroPage;
+    SIQ_ASSERT(memImage->pages.size() == memPages(),
+               "program ", name, ": memWords changed after initWord");
+    const auto &page = memImage->pages[p];
+    return page == nullptr ? zeroPage : page.get();
 }
 
 void
@@ -120,12 +103,6 @@ Program::finalize()
         // page-align procedures so PCs stay distinctive
         pc = (pc + 0xFFF) & ~0xFFFull;
     }
-
-    // keep a shared image across re-finalization (hint insertion)
-    // while the memory it images is unchanged
-    const std::uint64_t key = memoryKey(*this);
-    if (memImage == nullptr || memImage->key() != key)
-        memImage = std::make_shared<const MemImage>(key);
 
     for (auto &proc : procs) {
         const int nblocks = static_cast<int>(proc.blocks.size());

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "isa/static_inst.hh"
@@ -71,8 +70,31 @@ struct Procedure
     }
 };
 
-/** A program's shared initial memory image (defined in program.cc). */
-class MemImage;
+/** Data memory page size, in words (4 KiB pages): the unit the
+ *  initial image shares and the interpreter copies on write. */
+inline constexpr int memPageShift = 9;
+inline constexpr std::uint64_t memPageWords = 1ull << memPageShift;
+
+/**
+ * @p wordAddr wrapped modulo @p memWords (signed: -1 is the last
+ * word). Keeps synthetic workloads deterministic even when index
+ * arithmetic overshoots; in-range addresses, nearly all of them, skip
+ * the division.
+ */
+inline std::uint64_t
+wrapWordAddr(std::int64_t wordAddr, std::uint64_t memWords)
+{
+    if (static_cast<std::uint64_t>(wordAddr) < memWords)
+        return static_cast<std::uint64_t>(wordAddr);
+    const auto size = static_cast<std::int64_t>(memWords);
+    std::int64_t m = wordAddr % size;
+    if (m < 0)
+        m += size;
+    return static_cast<std::uint64_t>(m);
+}
+
+/** A program's paged initial data memory (defined in program.cc). */
+struct MemImage;
 
 /** A whole program plus its initial data memory image. */
 struct Program
@@ -80,27 +102,42 @@ struct Program
     std::string name;
     std::vector<Procedure> procs;
     int entryProc = 0;
-    /** Data memory size in 8-byte words; addresses wrap modulo this. */
+    /** Data memory size in 8-byte words; addresses wrap modulo this.
+     *  Fixed before the first initWord(). */
     std::uint64_t memWords = 1 << 16;
-    /** Sparse initial memory image applied before execution. */
-    std::vector<std::pair<std::uint64_t, std::int64_t>> memInit;
 
     /**
-     * Assign PCs, build CFG successor/predecessor lists, attach the
-     * (lazily built) memory image and validate structural invariants.
-     * Must be called after construction and after any instruction
-     * insertion (e.g. hint NOOPs).
+     * Assign PCs, build CFG successor/predecessor lists and validate
+     * structural invariants. Must be called after construction and
+     * after any instruction insertion (e.g. hint NOOPs). Data memory
+     * is not touched.
      */
     void finalize();
 
     /**
-     * memInit applied to memWords zeroed words, built on first use and
-     * shared with every copy of this program whose memory is unchanged
-     * (hint annotation copies a program and re-finalizes it, but never
-     * touches data memory, so raw and annotated programs share one
-     * image). Requires finalize().
+     * Set the initial value of word @p wordAddr, wrapped exactly as
+     * the interpreter wraps addresses; the last write wins. Copies of
+     * a program share its image, so the first write after a copy
+     * clones the page table and that one page; writing 0 to a page
+     * that holds only zeros allocates nothing.
      */
-    const std::vector<std::int64_t> &initialMemory() const;
+    void initWord(std::int64_t wordAddr, std::int64_t value);
+
+    /**
+     * The initial contents of page @p p (words [p << memPageShift,
+     * ...) up to memWords): shared by every copy of this program, and
+     * one process-wide zero page for every page never given a nonzero
+     * word. Read-only; valid until the program is next written by
+     * initWord() or destroyed.
+     */
+    const std::int64_t *initialPage(std::uint64_t p) const;
+
+    /** Pages of data memory (the last one may be partial). */
+    std::uint64_t
+    memPages() const
+    {
+        return (memWords + memPageWords - 1) >> memPageShift;
+    }
 
     std::size_t
     instCount() const
@@ -114,6 +151,8 @@ struct Program
   private:
     void validate() const;
 
+    /** Null until the first nonzero initWord(); never written while
+     *  another program shares it. */
     std::shared_ptr<const MemImage> memImage;
 };
 

@@ -180,7 +180,7 @@ ProgramBuilder::alloc(std::uint64_t words)
 void
 ProgramBuilder::initMem(std::uint64_t wordAddr, std::int64_t value)
 {
-    prog.memInit.emplace_back(wordAddr, value);
+    prog.initWord(static_cast<std::int64_t>(wordAddr), value);
 }
 
 Program

@@ -117,7 +117,7 @@ class ProgramBuilder
     /// @{
     /** Reserve @p words of data memory; returns the base word address. */
     std::uint64_t alloc(std::uint64_t words);
-    /** Set an initial memory value. */
+    /** Set an initial memory value (Program::initWord). */
     void initMem(std::uint64_t wordAddr, std::int64_t value);
     /// @}
 

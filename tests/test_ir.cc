@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "cpu/core.hh"
@@ -138,18 +139,32 @@ TEST(Exec, AddressesWrapModuloMemory)
 
 // ------------------------------------------ copy-on-write memory image
 
-/** memInit applied to zeroed memory, computed independently of
- *  Program::initialMemory(). */
+/** The initial memory of @p prog, read word by word through
+ *  Program::initialPage(). */
 std::vector<std::int64_t>
 expectedImage(const Program &prog)
 {
     std::vector<std::int64_t> mem(prog.memWords, 0);
-    const auto size = static_cast<std::int64_t>(prog.memWords);
-    for (const auto &[addr, value] : prog.memInit)
-        mem[static_cast<std::size_t>(
-            ((static_cast<std::int64_t>(addr) % size) + size) % size)] =
-            value;
+    for (std::uint64_t w = 0; w < prog.memWords; w++)
+        mem[w] = prog.initialPage(w >> memPageShift)
+                     [w & (memPageWords - 1)];
     return mem;
+}
+
+/** The process-wide zero page (every page of a program that was
+ *  never given a nonzero word). */
+const std::int64_t *
+zeroPage()
+{
+    return Program().initialPage(0);
+}
+
+/** True if no word of @p page is nonzero. */
+bool
+allZero(const std::int64_t *page)
+{
+    return std::all_of(page, page + memPageWords,
+                       [](std::int64_t v) { return v == 0; });
 }
 
 /** One small program per registered family. */
@@ -181,8 +196,50 @@ TEST(CopyOnWrite, FreshContextReadsTheInitialImage)
         const auto image = expectedImage(prog);
         const ExecContext ctx(prog);
         EXPECT_EQ(wordsDiffering(ctx, image), 0u) << prog.name;
-        EXPECT_EQ(prog.initialMemory(), image) << prog.name;
     }
+}
+
+TEST(CopyOnWrite, PagesWithoutANonzeroWordAreTheZeroPage)
+{
+    for (const Program &prog : everyFamily()) {
+        std::uint64_t zeroPages = 0;
+        for (std::uint64_t p = 0; p < prog.memPages(); p++) {
+            const std::int64_t *page = prog.initialPage(p);
+            if (page == zeroPage())
+                zeroPages++;
+            else
+                EXPECT_FALSE(allZero(page)) << prog.name << " page " << p;
+        }
+        EXPECT_GT(zeroPages, 0u) << prog.name;
+    }
+}
+
+TEST(CopyOnWrite, StoresToTheZeroPageStayPrivate)
+{
+    // no initWord at all: every page reads through the zero page
+    ProgramBuilder b("zero", 4096);
+    b.newProc("main");
+    b.emit(makeMovImm(1, 2000));
+    b.emit(makeMovImm(2, 9));
+    b.emit(makeStore(1, 2, 0));
+    b.emit(makeHalt());
+    const Program prog = b.build();
+    ASSERT_EQ(prog.initialPage(2000 >> memPageShift), zeroPage());
+    ExecContext writer(prog);
+    while (!writer.halted())
+        writer.step();
+    EXPECT_EQ(writer.readMem(2000), 9);
+    EXPECT_EQ(ExecContext(prog).readMem(2000), 0);
+    EXPECT_EQ(prog.initialPage(2000 >> memPageShift), zeroPage());
+    EXPECT_TRUE(allZero(zeroPage()));
+
+    // nor does any family's run write through it
+    for (const Program &family : everyFamily()) {
+        ExecContext ctx(family);
+        for (int i = 0; i < 20000 && !ctx.halted(); i++)
+            ctx.step();
+    }
+    EXPECT_TRUE(allZero(zeroPage()));
 }
 
 TEST(CopyOnWrite, StoresNeverLeakIntoTheSharedImage)
@@ -203,9 +260,7 @@ TEST(CopyOnWrite, StoresNeverLeakIntoTheSharedImage)
         copy.finalize();
         const ExecContext fromCopy(copy);
         EXPECT_EQ(wordsDiffering(fromCopy, image), 0u) << prog.name;
-        EXPECT_EQ(copy.initialMemory().data(),
-                  prog.initialMemory().data())
-            << prog.name << ": a copy with unchanged memory shares it";
+        EXPECT_EQ(expectedImage(prog), image) << prog.name;
     }
     EXPECT_GT(familiesThatStored, 0u);
 }
@@ -214,12 +269,69 @@ TEST(CopyOnWrite, ChangedMemoryGetsItsOwnImage)
 {
     const Program original = straightLine();
     Program prog = original;
-    prog.memInit.emplace_back(7, 42);
-    prog.finalize();
-    EXPECT_NE(prog.initialMemory().data(),
-              original.initialMemory().data());
+    prog.initWord(7, 42);
+    EXPECT_NE(prog.initialPage(0), original.initialPage(0));
     EXPECT_EQ(ExecContext(prog).readMem(7), 42);
     EXPECT_EQ(ExecContext(original).readMem(7), 0);
+}
+
+TEST(CopyOnWrite, InitWordWrapsAndTheLastWriteWins)
+{
+    // 1000 words: not a power of two, and the last page is partial
+    ProgramBuilder b("init", 1000);
+    b.newProc("main");
+    b.emit(makeHalt());
+    Program prog = b.build();
+    ASSERT_EQ(prog.memPages(), 2u);
+    prog.initWord(-1, 11);    // the last word
+    prog.initWord(1003, 22);  // wraps to word 3
+    prog.initWord(-1000, 33); // wraps to word 0
+    prog.initWord(3, 44);     // overwrites 22
+    prog.initWord(600, 55);   // the partial last page
+    prog.initWord(512, 0);    // zero into an allocated page
+    const std::int64_t *page0 = prog.initialPage(0);
+    const std::int64_t *page1 = prog.initialPage(1);
+    EXPECT_EQ(page0[0], 33);
+    EXPECT_EQ(page0[3], 44);
+    EXPECT_EQ(page1[999 - 512], 11);
+    EXPECT_EQ(page1[600 - 512], 55);
+    EXPECT_EQ(page1[0], 0);
+    const ExecContext ctx(prog);
+    EXPECT_EQ(ctx.readMem(999), 11);
+    EXPECT_EQ(ctx.readMem(600), 55);
+
+    // writing to a copy clones that one page and leaves the original
+    // unchanged; the untouched page stays shared
+    Program copy = prog;
+    copy.initWord(0, 66);
+    EXPECT_EQ(copy.initialPage(0)[0], 66);
+    EXPECT_EQ(copy.initialPage(0)[3], 44);
+    EXPECT_EQ(prog.initialPage(0), page0);
+    EXPECT_EQ(page0[0], 33);
+    EXPECT_NE(copy.initialPage(0), page0);
+    EXPECT_EQ(copy.initialPage(1), page1);
+
+    // the sole owner writes in place
+    const std::int64_t *copyPage0 = copy.initialPage(0);
+    copy.initWord(1, 77);
+    EXPECT_EQ(copy.initialPage(0), copyPage0);
+    EXPECT_EQ(copyPage0[1], 77);
+    EXPECT_EQ(page0[1], 0);
+}
+
+TEST(CopyOnWrite, WritingZeroToTheZeroPageAllocatesNothing)
+{
+    Program prog;
+    prog.memWords = 4096;
+    prog.initWord(5, 0);
+    prog.initWord(-1, 0);
+    for (std::uint64_t p = 0; p < prog.memPages(); p++)
+        EXPECT_EQ(prog.initialPage(p), zeroPage()) << p;
+    prog.initWord(600, 1);
+    prog.initWord(700, 0);
+    EXPECT_NE(prog.initialPage(1), zeroPage());
+    EXPECT_EQ(prog.initialPage(0), zeroPage());
+    EXPECT_EQ(prog.initialPage(7), zeroPage());
 }
 
 TEST(CopyOnWrite, PartialLastPageAndNegativeAddressesWrap)
@@ -240,8 +352,7 @@ TEST(CopyOnWrite, PartialLastPageAndNegativeAddressesWrap)
     b.emit(makeLoad(3, 1, 489)); // word 1000 wraps to word 0
     b.emit(makeHalt());
     Program prog = b.build();
-    prog.memInit.emplace_back(0, 5);
-    prog.finalize();
+    prog.initWord(0, 5);
     ExecContext ctx(prog);
     while (!ctx.halted())
         ctx.step();
@@ -258,7 +369,6 @@ TEST(CopyOnWrite, ConcurrentInterpretersOfOneProgramAgree)
     workloads::WorkloadParams wp;
     wp.repDivisor = 40;
     for (const char *name : {"specfp", "mcf", "phased"}) {
-        // the image is built by whichever thread gets there first
         const Program prog = workloads::generate(name, wp);
         constexpr int nthreads = 4;
         std::vector<std::unique_ptr<ExecContext>> ctxs(nthreads);

@@ -10,10 +10,12 @@
 #include <algorithm>
 #include <set>
 
+#include "compiler/pass.hh"
 #include "cpu/core.hh"
 #include "ir/exec.hh"
 #include "isa/opcode.hh"
 #include "sim/sweep.hh"
+#include "sim/technique.hh"
 #include "workloads/family.hh"
 #include "workloads/workloads.hh"
 
@@ -70,9 +72,13 @@ fingerprint(const Program &prog)
             }
         }
     }
-    for (const auto &[addr, value] : prog.memInit) {
-        mix(addr);
-        mix(static_cast<std::uint64_t>(value));
+    for (std::uint64_t w = 0; w < prog.memWords; w++) {
+        const std::int64_t value =
+            prog.initialPage(w >> memPageShift)[w & (memPageWords - 1)];
+        if (value != 0) {
+            mix(w);
+            mix(static_cast<std::uint64_t>(value));
+        }
     }
     return h;
 }
@@ -116,9 +122,38 @@ TEST(Workloads, GenerationIsDeterministic)
         const Program a = generate(name, tiny());
         const Program b = generate(name, tiny());
         ASSERT_EQ(a.instCount(), b.instCount()) << name;
-        ASSERT_EQ(a.memInit.size(), b.memInit.size()) << name;
-        for (std::size_t i = 0; i < a.memInit.size(); i += 97)
-            EXPECT_EQ(a.memInit[i], b.memInit[i]) << name;
+        ASSERT_EQ(a.memWords, b.memWords) << name;
+        for (std::uint64_t p = 0; p < a.memPages(); p++) {
+            const std::int64_t *pa = a.initialPage(p);
+            const std::int64_t *pb = b.initialPage(p);
+            EXPECT_TRUE(std::equal(pa, pa + memPageWords, pb))
+                << name << " page " << p;
+        }
+    }
+}
+
+TEST(Workloads, AnnotatedCopiesShareEveryPage)
+{
+    // the hint schemes annotate copies of the raw program, as the
+    // sweep's compile cache does; none of them copies data memory
+    const sim::RunConfig cfg;
+    for (const auto &name : familyNames()) {
+        const Program raw = generate(name, tiny());
+        int annotated = 0;
+        for (const auto &tech : sim::techniqueNames()) {
+            const auto *def = sim::findTechnique(tech);
+            const auto cc = def->compilerConfig ? def->compilerConfig(cfg)
+                                                : std::nullopt;
+            if (!cc)
+                continue;
+            Program copy = raw;
+            compiler::annotate(copy, *cc);
+            annotated++;
+            for (std::uint64_t p = 0; p < raw.memPages(); p++)
+                ASSERT_EQ(copy.initialPage(p), raw.initialPage(p))
+                    << name << " " << tech << " page " << p;
+        }
+        EXPECT_EQ(annotated, 3) << name;
     }
 }
 
