@@ -1,15 +1,17 @@
 /**
  * @file
  * Compiler explorer: dump the paper's analysis products for one
- * workload — per procedure: the natural loops, the CDS equations'
- * entries and the unrolled minimal range, per-block DAG needs and the
- * final hint values, plus the inserted-hint summary for every
- * technique that carries a compiler configuration (the three hint
- * schemes).
+ * workload — per procedure: the natural loops with their emitted
+ * entries, the unrolled minimal range and the CDS equations' entries
+ * (a diagnostic: analyzeCds over the loop's whole body, all paths
+ * merged), per-block DAG needs and the final hint values, plus the
+ * inserted-hint summary for every technique that carries a compiler
+ * configuration (the three hint schemes).
  *
  * Usage: compiler_explorer [benchmark] [scale]
  */
 
+#include <algorithm>
 #include <iostream>
 #include <string>
 
@@ -40,14 +42,30 @@ main(int argc, char **argv)
         std::cout << "procedure " << proc.name << " ("
                   << proc.blocks.size() << " blocks"
                   << (proc.isLibrary ? ", library" : "") << ")\n";
+        const std::vector<int> rpo = reversePostOrder(proc);
         for (std::size_t l = 0; l < pa.loops.size(); l++) {
             const auto &loop = pa.loops[l];
             const auto &lr = pa.loopResults[l];
+            // the body in reverse post-order, as the pass builds it
+            const auto own = loop.exclusiveBlocks(pa.loops);
+            std::vector<const BasicBlock *> body;
+            for (int b : rpo) {
+                if (std::find(own.begin(), own.end(), b) != own.end())
+                    body.push_back(&proc.blocks[b]);
+            }
+            const auto cds = compiler::analyzeCds(buildDdg(
+                body, /*loopCarried=*/true, [&](const StaticInst &si) {
+                    return defaultCompilerLatency(
+                        si, cc.machine.l1dHitLatency);
+                }));
             std::cout << "  loop@b" << loop.header << " depth "
                       << loop.depth << ": entries " << lr.entries
-                      << " (cds " << lr.cdsEntries << ", unrolled "
-                      << lr.unrolledEntries << ", cds-found "
-                      << (lr.hadCds ? "yes" : "no") << ")\n";
+                      << " (unrolled " << lr.unrolledEntries << ", cds ";
+            if (cds)
+                std::cout << cds->entries;
+            else
+                std::cout << "none";
+            std::cout << ")\n";
         }
         std::cout << "  block values:";
         for (std::size_t b = 0; b < pa.blockValue.size(); b++) {

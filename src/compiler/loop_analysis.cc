@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -158,32 +159,24 @@ analyzeLoop(const Ddg &body, const PseudoIqConfig &cfg,
         return res;
     }
 
-    const auto cds = analyzeCds(body);
-    if (cds) {
-        res.hadCds = true;
-        res.cdsEntries = cds->entries;
-    }
-
     // unroll far enough that the simulated window can exceed the IQ
     // itself, or small bodies would cap their own estimates
-    const int len = std::max(1, body.size());
+    const int len = body.size();
     const int copies = std::clamp(
         (cfg.iqSize * 6 / 5 + len - 1) / len, std::max(2, unrollFactor),
-        24);
+        maxLoopCopies);
     std::vector<PseudoInst> insts;
     std::vector<PseudoDep> deps;
     expandLoopDdg(body, copies, cfg, insts, deps);
-    const int reference =
-        simulatePseudoIq(insts, deps, cfg, {}, cfg.iqSize)
-            .drainCycles;
-    const int slack = static_cast<int>(
-        static_cast<double>(reference) * slackFraction);
-    res.unrolledEntries = minimalRange(insts, deps, cfg, {}, slack);
+    res.unrolledEntries =
+        PseudoIqSequence(std::move(insts), deps, cfg)
+            .minimalRange(slackFraction)
+            .range;
 
     // the emitted value is the minimal non-degrading range over the
-    // unrolled steady state; the CDS equations are reported alongside
-    // (they are the paper's derivation and agree on its example, but
-    // are blind to resource limits for disconnected side chains)
+    // unrolled steady state; the CDS equations (analyzeCds) are the
+    // paper's derivation and agree on its example, but are blind to
+    // resource limits for disconnected side chains
     res.entries = std::clamp(res.unrolledEntries, 1, cfg.iqSize);
     return res;
 }

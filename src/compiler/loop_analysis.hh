@@ -11,11 +11,13 @@
  * anchor of iteration i + k_j (the paper's 15-entry worked example is
  * a golden test).
  *
- * A pseudo-IQ simulation of a few unrolled iterations runs alongside
- * and the final answer is the maximum of the two estimators: the CDS
- * equations can under-provision when side chains are disconnected
- * from the critical cycle, and under-provisioning is the one error
- * direction the technique must avoid (it would slow the program).
+ * The value the pass emits for a loop comes from analyzeLoop() alone:
+ * the minimal non-degrading range of a pseudo-IQ simulation of the
+ * body unrolled a few times. The CDS equations are a diagnostic a
+ * caller runs on purpose (compiler_explorer prints them): they can
+ * under-provision when side chains are disconnected from the
+ * critical cycle, and under-provisioning is the one error direction
+ * the technique must avoid (it would slow the program).
  */
 
 #ifndef SIQ_COMPILER_LOOP_ANALYSIS_HH
@@ -47,21 +49,24 @@ struct CdsAnalysis
  */
 std::optional<CdsAnalysis> analyzeCds(const Ddg &body);
 
-/** Combined loop verdict. */
+/** Most loop-body copies analyzeLoop() unrolls (and the largest
+ *  unrollFactor it accepts). */
+constexpr int maxLoopCopies = 24;
+
+/** Loop verdict. */
 struct LoopAnalysis
 {
-    int entries = 0;     ///< final clamped recommendation
-    bool hadCds = false;
-    int cdsEntries = 0;      ///< raw CDS estimate (0 when none)
+    int entries = 0;         ///< final clamped recommendation
     int unrolledEntries = 0; ///< pseudo-IQ estimate over unrollFactor
 };
 
 /**
- * Analyze a loop body: CDS equations plus the minimal non-degrading
- * range over an unrolled pseudo-IQ simulation (the emitted value,
- * clamped to [1, cfg.iqSize]). @p slackFraction relaxes the unrolled
- * drain-time match — steady-state throughput is what matters for a
- * loop, and the paper tolerates percent-level loss.
+ * Analyze a loop body: the minimal non-degrading range over an
+ * unrolled pseudo-IQ simulation (the emitted value, clamped to
+ * [1, cfg.iqSize]). @p unrollFactor (in [1, maxLoopCopies]) is the
+ * fewest copies simulated. @p slackFraction relaxes the unrolled drain-time
+ * match — steady-state throughput is what matters for a loop, and the
+ * paper tolerates percent-level loss.
  */
 LoopAnalysis analyzeLoop(const Ddg &body, const PseudoIqConfig &cfg,
                          int unrollFactor = 4,

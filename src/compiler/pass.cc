@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -114,24 +115,20 @@ enumerateLoopPaths(const Procedure &proc,
     return result;
 }
 
-/** Pseudo-IQ inputs for one basic block. */
-struct BlockSim
+/** The pseudo-IQ sequence of one basic block. */
+PseudoIqSequence
+buildBlockSequence(const BasicBlock &block, const PseudoIqConfig &cfg,
+                   const std::array<int, numArchRegs> &regReadyIn,
+                   const std::array<int, numFuClasses> &fuBusy)
 {
-    std::vector<PseudoInst> insts;
-    std::vector<PseudoDep> deps;
-};
-
-BlockSim
-buildBlockSim(const BasicBlock &block, const PseudoIqConfig &cfg,
-              const std::array<int, numArchRegs> &regReadyIn)
-{
-    BlockSim sim;
     const std::vector<const BasicBlock *> one = {&block};
     const Ddg ddg = buildDdg(one, /*loopCarried=*/false,
                              [&](const StaticInst &si) {
                                  return defaultCompilerLatency(
                                      si, cfg.l1dHitLatency);
                              });
+    std::vector<PseudoInst> insts;
+    insts.reserve(static_cast<std::size_t>(ddg.size()));
     std::vector<char> definedLocally(numArchRegs, 0);
     for (int j = 0; j < ddg.size(); j++) {
         const StaticInst &si = *ddg.nodes[j].inst;
@@ -144,11 +141,13 @@ buildBlockSim(const BasicBlock &block, const PseudoIqConfig &cfg,
         }
         if (si.writesLiveReg())
             definedLocally[si.dst] = 1;
-        sim.insts.push_back(pi);
+        insts.push_back(pi);
     }
+    std::vector<PseudoDep> deps;
+    deps.reserve(ddg.edges.size());
     for (const auto &edge : ddg.edges)
-        sim.deps.push_back({edge.from, edge.to});
-    return sim;
+        deps.push_back({edge.from, edge.to});
+    return PseudoIqSequence(std::move(insts), deps, cfg, fuBusy);
 }
 
 } // namespace
@@ -234,13 +233,12 @@ analyzeProcedure(const Program &prog, int procId,
         // callee procedures and the blocks resuming after a call
         const bool strict =
             cfg.interprocFu && (hasCallers || isContinuation);
-        BlockSim sim = buildBlockSim(block, cfg.machine, in);
-        const PseudoIqResult res = simulatePseudoIq(
-            sim.insts, sim.deps, cfg.machine, fuBusy,
-            cfg.machine.iqSize);
+        PseudoIqSequence seq =
+            buildBlockSequence(block, cfg.machine, in, fuBusy);
+        const RangeSearch search = seq.minimalRange(0.0, strict);
+        const PseudoIqResult &res = search.reference;
         pa.dagSpan[b] = res.entriesNeeded;
-        pa.dagNeed[b] = minimalRange(sim.insts, sim.deps,
-                                     cfg.machine, fuBusy, 0, strict);
+        pa.dagNeed[b] = search.range;
 
         // residuals for successors: producer writebacks that outlive
         // this block's drain
@@ -255,7 +253,7 @@ analyzeProcedure(const Program &prog, int procId,
             const StaticInst &si = block.insts[j];
             if (si.writesLiveReg()) {
                 lastWb[si.dst] = res.issueCycle[j] +
-                                 sim.insts[j].latency;
+                                 seq.insts()[j].latency;
             }
         }
         for (int r = 0; r < numArchRegs; r++) {
@@ -307,11 +305,8 @@ analyzeProcedure(const Program &prog, int procId,
                     analyzeLoop(ddg, cfg.machine, cfg.unrollFactor,
                                 cfg.loopSlack);
                 merged.entries = std::max(merged.entries, la.entries);
-                merged.cdsEntries =
-                    std::max(merged.cdsEntries, la.cdsEntries);
                 merged.unrolledEntries = std::max(
                     merged.unrolledEntries, la.unrolledEntries);
-                merged.hadCds = merged.hadCds || la.hadCds;
             }
         }
         pa.loopResults[l] = merged;

@@ -8,6 +8,10 @@
  *   encode each region's requirement in a special NOOP (or, for the
  *   Extension/Improved schemes, a tag on an ordinary instruction).
  *
+ * Here a loop is sized by draining its body, unrolled, through the
+ * pseudo issue queue (analyzeLoop); the CDS equations are a diagnostic
+ * that is run on request (analyzeCds, loop_analysis.hh).
+ *
  * Region rules implemented here (paper §4.1-4.4):
  *  - every basic block outside any loop is its own region and gets a
  *    hint at its start;

@@ -1,6 +1,7 @@
 #include "compiler/pseudo_iq.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -17,32 +18,52 @@ toPseudoInst(const StaticInst &si, const PseudoIqConfig &cfg)
     return pi;
 }
 
-PseudoIqResult
-simulatePseudoIq(const std::vector<PseudoInst> &insts,
-                 const std::vector<PseudoDep> &deps,
-                 const PseudoIqConfig &cfg,
-                 const std::array<int, numFuClasses> &fuBusyUntil,
-                 int rangeLimit)
+PseudoIqSequence::PseudoIqSequence(
+    std::vector<PseudoInst> insts, const std::vector<PseudoDep> &deps,
+    const PseudoIqConfig &cfg,
+    const std::array<int, numFuClasses> &fuBusyUntil)
+    : insts_(std::move(insts)), cfg_(cfg), fuBusyUntil_(fuBusyUntil)
 {
-    const int n = static_cast<int>(insts.size());
-    PseudoIqResult res;
-    res.issueCycle.assign(static_cast<std::size_t>(n), -1);
-    if (n == 0)
-        return res;
-
-    std::vector<int> readyAt(static_cast<std::size_t>(n), 0);
-    std::vector<int> dispatchedAt(static_cast<std::size_t>(n), -1);
-    std::vector<int> pendingParents(static_cast<std::size_t>(n), 0);
-    std::vector<std::vector<int>> children(
-        static_cast<std::size_t>(n));
-    for (int i = 0; i < n; i++)
-        readyAt[i] = insts[i].externalReady;
+    const int n = static_cast<int>(insts_.size());
+    const auto size = static_cast<std::size_t>(n);
+    childBegin_.assign(size + 1, 0);
+    parentCount_.assign(size, 0);
     for (const auto &d : deps) {
         SIQ_ASSERT(d.from >= 0 && d.from < n && d.to >= 0 && d.to < n,
                    "bad pseudo dep");
-        pendingParents[d.to]++;
-        children[d.from].push_back(d.to);
+        parentCount_[d.to]++;
+        childBegin_[d.from + 1]++;
     }
+    for (int i = 0; i < n; i++)
+        childBegin_[i + 1] += childBegin_[i];
+    childIndex_.resize(deps.size());
+    std::vector<int> fill(childBegin_.begin(), childBegin_.end() - 1);
+    for (const auto &d : deps)
+        childIndex_[fill[d.from]++] = d.to;
+
+    readyAt_.resize(size);
+    nextWaiting_.resize(size);
+    pendingParents_.resize(size);
+    for (int k = 1; k < numFuClasses; k++) {
+        unitFreeAt_[k].resize(
+            static_cast<std::size_t>(std::min(cfg_.fuCounts[k], 64)));
+    }
+}
+
+void
+PseudoIqSequence::drain(int rangeLimit, PseudoIqResult &res)
+{
+    const int n = static_cast<int>(insts_.size());
+    res.entriesNeeded = 0;
+    res.drainCycles = 0;
+    res.widestWindow = 0;
+    res.issueCycle.assign(static_cast<std::size_t>(n), -1);
+    if (n == 0)
+        return;
+
+    for (int i = 0; i < n; i++)
+        readyAt_[i] = insts_[i].externalReady;
+    pendingParents_ = parentCount_;
 
     int remaining = n;
     int nextDispatch = 0;
@@ -50,43 +71,54 @@ simulatePseudoIq(const std::vector<PseudoInst> &insts,
     int cycle = 0;
     constexpr int cycleGuard = 1 << 21;
 
+    // the dispatched, unissued entries in program order, linked
+    // through nextWaiting_: the issue scan visits only these, never
+    // the issued holes between them
+    constexpr int none = -1;
+    int head = none;
+    int tail = none;
+
     // per-unit occupancy: pipelined ops hold a unit one cycle,
     // non-pipelined ones for their whole latency; the Improved
     // scheme's callee pressure pre-occupies every unit
-    std::array<std::vector<int>, numFuClasses> unitFreeAt;
     for (int k = 1; k < numFuClasses; k++) {
-        const int units = std::min(cfg.fuCounts[k], 64);
-        unitFreeAt[k].assign(static_cast<std::size_t>(units),
-                             fuBusyUntil[k]);
+        std::fill(unitFreeAt_[k].begin(), unitFreeAt_[k].end(),
+                  fuBusyUntil_[k]);
     }
-    auto takeUnit = [&](FuClass fuClass, int until) {
-        auto &units = unitFreeAt[static_cast<int>(fuClass)];
-        for (auto &freeAt : units) {
+    // claim a free unit of the class for an op issuing this cycle
+    auto takeUnit = [&](const PseudoInst &pi) {
+        if (pi.fu == FuClass::None)
+            return true;
+        for (int &freeAt : unitFreeAt_[static_cast<int>(pi.fu)]) {
             if (freeAt <= cycle) {
-                freeAt = until;
+                freeAt = pi.pipelined ? cycle + 1 : cycle + pi.latency;
                 return true;
             }
         }
         return false;
     };
-    auto unitAvailable = [&](FuClass fuClass) {
-        if (fuClass == FuClass::None)
-            return true;
-        for (int freeAt :
-             unitFreeAt[static_cast<int>(fuClass)]) {
-            if (freeAt <= cycle)
-                return true;
+    auto dispatch = [&] {
+        for (int d = 0; d < cfg_.dispatchWidth && nextDispatch < n &&
+                        nextDispatch - oldestUnissued < rangeLimit;
+             d++) {
+            res.widestWindow = std::max(
+                res.widestWindow, nextDispatch - oldestUnissued + 1);
+            nextWaiting_[nextDispatch] = none;
+            if (tail == none)
+                head = nextDispatch;
+            else
+                nextWaiting_[tail] = nextDispatch;
+            tail = nextDispatch++;
         }
-        return false;
     };
 
     // cycle 0 pre-fills the queue ("we place the first few
-    // instructions in this pseudo issue queue")
-    for (int d = 0; d < cfg.dispatchWidth && nextDispatch < n &&
-                    nextDispatch - oldestUnissued < rangeLimit;
-         d++) {
-        dispatchedAt[nextDispatch++] = 0;
-    }
+    // instructions in this pseudo issue queue"), then dispatches again
+    // after its issue phase like every cycle; issue starts the cycle
+    // after dispatch, so that phase issues nothing
+    dispatch();
+    dispatch();
+    cycle = 1;
 
     while (remaining > 0) {
         SIQ_ASSERT(cycle < cycleGuard, "pseudo IQ failed to drain; "
@@ -95,76 +127,74 @@ simulatePseudoIq(const std::vector<PseudoInst> &insts,
         int youngestIssued = -1;
         const int oldestAtStart = oldestUnissued;
 
-        for (int i = oldestUnissued;
-             i < nextDispatch && issued < cfg.issueWidth; i++) {
-            if (res.issueCycle[i] >= 0)
-                continue; // already issued
-            if (pendingParents[i] > 0 || readyAt[i] > cycle)
+        int prev = none;
+        for (int i = head; i != none && issued < cfg_.issueWidth;) {
+            const int next = nextWaiting_[i];
+            const PseudoInst &pi = insts_[i];
+            if (pendingParents_[i] > 0 || readyAt_[i] > cycle ||
+                !takeUnit(pi)) {
+                prev = i;
+                i = next;
                 continue;
-            if (dispatchedAt[i] < 0 || dispatchedAt[i] >= cycle)
-                continue; // issue starts the cycle after dispatch
-            if (!unitAvailable(insts[i].fu))
-                continue;
-            if (insts[i].fu != FuClass::None) {
-                takeUnit(insts[i].fu,
-                         insts[i].pipelined
-                             ? cycle + 1
-                             : cycle + insts[i].latency);
             }
             issued++;
             res.issueCycle[i] = cycle;
             youngestIssued = i;
-            for (int c : children[i]) {
-                pendingParents[c]--;
-                readyAt[c] = std::max(readyAt[c],
-                                      cycle + insts[i].latency);
+            const int wb = cycle + pi.latency;
+            for (int e = childBegin_[i]; e < childBegin_[i + 1]; e++) {
+                const int c = childIndex_[e];
+                pendingParents_[c]--;
+                readyAt_[c] = std::max(readyAt_[c], wb);
             }
+            // unlink i
+            if (prev == none)
+                head = next;
+            else
+                nextWaiting_[prev] = next;
+            if (tail == i)
+                tail = prev;
+            i = next;
         }
 
         if (youngestIssued >= 0) {
             const int span = youngestIssued - oldestAtStart + 1;
             res.entriesNeeded = std::max(res.entriesNeeded, span);
             remaining -= issued;
-            while (oldestUnissued < n &&
-                   res.issueCycle[oldestUnissued] >= 0) {
-                oldestUnissued++;
-            }
+            oldestUnissued = head != none ? head : nextDispatch;
             res.drainCycles = cycle + 1;
         }
 
         // dispatch after issue, as in the paper's figure 2 ("if
         // instruction a issues ... three more can be dispatched")
-        for (int d = 0; d < cfg.dispatchWidth && nextDispatch < n &&
-                        nextDispatch - oldestUnissued < rangeLimit;
-             d++) {
-            dispatchedAt[nextDispatch++] = cycle;
-        }
+        dispatch();
         cycle++;
     }
-    return res;
 }
 
-int
-minimalRange(const std::vector<PseudoInst> &insts,
-             const std::vector<PseudoDep> &deps,
-             const PseudoIqConfig &cfg,
-             const std::array<int, numFuClasses> &fuBusyUntil,
-             int slackCycles, bool strict)
+RangeSearch
+PseudoIqSequence::minimalRange(double slackFraction, bool strict)
 {
-    if (insts.empty())
-        return 1;
-    const PseudoIqResult ref =
-        simulatePseudoIq(insts, deps, cfg, fuBusyUntil, cfg.iqSize);
-    const int drainBudget = ref.drainCycles + slackCycles;
+    RangeSearch out;
+    if (insts_.empty())
+        return out;
+    const PseudoIqResult &ref = out.reference;
+    drain(cfg_.iqSize, out.reference);
+    const int slack = static_cast<int>(
+        static_cast<double>(ref.drainCycles) * slackFraction);
+    const int drainBudget = ref.drainCycles + slack;
 
     auto acceptable = [&](int range) {
-        const PseudoIqResult res =
-            simulatePseudoIq(insts, deps, cfg, fuBusyUntil, range);
-        if (res.drainCycles > drainBudget)
+        // at or above the widest window the probe repeats the
+        // reference drain decision for decision, and the reference
+        // meets its own budget
+        if (range >= ref.widestWindow && slack >= 0)
+            return true;
+        drain(range, probe_);
+        if (probe_.drainCycles > drainBudget)
             return false;
         if (strict) {
-            for (std::size_t i = 0; i < insts.size(); i++) {
-                if (res.issueCycle[i] > ref.issueCycle[i])
+            for (std::size_t i = 0; i < insts_.size(); i++) {
+                if (probe_.issueCycle[i] > ref.issueCycle[i])
                     return false;
             }
         }
@@ -172,7 +202,7 @@ minimalRange(const std::vector<PseudoInst> &insts,
     };
 
     int lo = 1;
-    int hi = cfg.iqSize;
+    int hi = cfg_.iqSize;
     while (lo < hi) {
         const int mid = lo + (hi - lo) / 2;
         if (acceptable(mid))
@@ -180,7 +210,21 @@ minimalRange(const std::vector<PseudoInst> &insts,
         else
             lo = mid + 1;
     }
-    return lo;
+    out.range = lo;
+    return out;
+}
+
+PseudoIqResult
+simulatePseudoIq(const std::vector<PseudoInst> &insts,
+                 const std::vector<PseudoDep> &deps,
+                 const PseudoIqConfig &cfg,
+                 const std::array<int, numFuClasses> &fuBusyUntil,
+                 int rangeLimit)
+{
+    PseudoIqResult res;
+    PseudoIqSequence(insts, deps, cfg, fuBusyUntil)
+        .drain(rangeLimit, res);
+    return res;
 }
 
 void

@@ -628,6 +628,7 @@ requireMultiple(T value, T divisor, std::string_view path,
 void
 requireCache(const CacheConfig &c, std::string_view path)
 {
+    requirePositive(c.hitLatency, path, ".hitLatency");
     requirePositive(c.sizeBytes, path, ".sizeBytes");
     requirePositive(c.assoc, path, ".assoc");
     require(std::has_single_bit(c.lineBytes), path, ".lineBytes",
@@ -663,6 +664,8 @@ validate(const RunConfig &cfg)
     requirePositive(c.commitWidth, "core", ".commitWidth");
     requirePositive(c.fetchQueueSize, "core", ".fetchQueueSize");
     requirePositive(c.robSize, "core", ".robSize");
+    require(c.decodeDepth >= 0, "core", ".decodeDepth",
+            "must be >= 0, got ", c.decodeDepth);
     requirePositive(c.lsq.numEntries, "core.lsq", ".numEntries");
     requirePositive(c.iq.bankSize, "core.iq", ".bankSize");
     requirePositive(c.iq.numEntries, "core.iq", ".numEntries");
@@ -673,6 +676,8 @@ validate(const RunConfig &cfg)
     requireCache(c.mem.l1i, "core.mem.l1i");
     requireCache(c.mem.l1d, "core.mem.l1d");
     requireCache(c.mem.l2, "core.mem.l2");
+    // a latency below one cycle schedules completions in the past
+    requirePositive(c.mem.memLatency, "core.mem", ".memLatency");
     // the predictor tables and FU pools have no constructor check but
     // are divisors (table index modulo size) or deadlock when empty
     requirePositive(c.bpred.gshareEntries, "core.bpred", ".gshareEntries");
@@ -685,6 +690,15 @@ validate(const RunConfig &cfg)
                     ".btbEntries", "btbAssoc");
     for (const int n : c.fuCounts)
         requirePositive(n, "core", ".fuCounts[]");
+    // the compiler clamps hints to [minHint, iq.numEntries] and
+    // unrolls loop bodies between unrollFactor and maxLoopCopies times
+    require(cfg.minHint >= 1 && cfg.minHint <= c.iq.numEntries, "",
+            "minHint", "must be in [1, core.iq.numEntries (",
+            c.iq.numEntries, ")], got ", cfg.minHint);
+    require(cfg.unrollFactor >= 1 &&
+                cfg.unrollFactor <= compiler::maxLoopCopies,
+            "", "unrollFactor", "must be in [1, ",
+            compiler::maxLoopCopies, "], got ", cfg.unrollFactor);
 }
 
 void

@@ -103,8 +103,11 @@ SweepSpec readSpecJson(std::istream &is);
  * pipeline width >= 1, the geometry preconditions the ROB, fetch
  * queue, IQ, register files, LSQ, caches and BTB constructors assert
  * (banks tile the IQ and register files, power-of-two cache lines and
- * sets, ...), and non-empty predictor tables and FU pools. fatal()
- * naming the field path ("base.core.robSize").
+ * sets, ...), non-empty predictor tables and FU pools, latencies of
+ * at least one cycle (a non-negative decode depth), and compiler
+ * knobs in the ranges the pass assumes (minHint within the IQ,
+ * unrollFactor within compiler::maxLoopCopies). fatal() naming the
+ * field path ("base.core.robSize").
  * The spec readers call it, so an invalid spec fails where it enters
  * — `siqsim run` exits 1 and serve answers with an error record —
  * instead of aborting in a constructor.

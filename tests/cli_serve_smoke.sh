@@ -90,8 +90,10 @@ EOF
 SOCK=$WORK/serve.sock
 "$SIQSIM" serve --socket "$SOCK" 2> serve.log &
 DAEMON=$!
+# the daemon binds (creating the socket file) before it logs, so wait
+# for both
 for _ in $(seq 100); do
-    [ -S "$SOCK" ] && break
+    [ -S "$SOCK" ] && grep -q "listening on $SOCK" serve.log && break
     kill -0 "$DAEMON" 2> /dev/null || { cat serve.log; exit 1; }
     sleep 0.1
 done

@@ -59,14 +59,33 @@ if grep -q 'wrongPathFetched\|"squashes"' oracle.json oracle.csv; then
 fi
 
 # an invalid config is rejected where the spec enters (exit 1, the
-# field named), never by an abort inside the core (exit 134)
-sed 's/"robSize":128/"robSize":0/' oracle_spec.json > bad_spec.json
-status=0
-"$SIQSIM" run --spec bad_spec.json --json bad.json 2> bad.err || status=$?
-if [ "$status" -ne 1 ] || ! grep -q 'base.core.robSize' bad.err; then
-    echo "invalid spec: want exit 1 naming base.core.robSize, got" \
-        "$status: $(cat bad.err)" >&2
-    exit 1
-fi
+# field named), never by an abort inside the core (exit 134): each
+# line is a sed edit of the spec and the field its error must name
+while read -r edit field; do
+    sed "$edit" oracle_spec.json > bad_spec.json
+    if cmp -s oracle_spec.json bad_spec.json; then
+        echo "invalid spec: '$edit' changed nothing" >&2
+        exit 1
+    fi
+    status=0
+    "$SIQSIM" run --spec bad_spec.json --json bad.json 2> bad.err ||
+        status=$?
+    if [ "$status" -ne 1 ] || ! grep -qF "$field" bad.err; then
+        echo "invalid spec: want exit 1 naming $field, got" \
+            "$status: $(cat bad.err)" >&2
+        exit 1
+    fi
+done <<'EOF'
+s/"robSize":128/"robSize":0/ base.core.robSize
+s/"hitLatency":1}/"hitLatency":0}/ base.core.mem.l1i.hitLatency
+s/"lineBytes":32,"hitLatency":2}/"lineBytes":32,"hitLatency":0}/ base.core.mem.l1d.hitLatency
+s/"hitLatency":10}/"hitLatency":0}/ base.core.mem.l2.hitLatency
+s/"memLatency":50/"memLatency":-5/ base.core.mem.memLatency
+s/"decodeDepth":3/"decodeDepth":-1/ base.core.decodeDepth
+s/"minHint":4/"minHint":0/ base.minHint
+s/"minHint":4/"minHint":81/ base.minHint
+s/"unrollFactor":4/"unrollFactor":0/ base.unrollFactor
+s/"unrollFactor":4/"unrollFactor":25/ base.unrollFactor
+EOF
 
 echo "cli_spec_smoke: OK"

@@ -1,17 +1,22 @@
 /**
  * @file
  * Compiler pass tests beyond the paper goldens: pseudo-IQ behaviour,
- * minimal-range properties, hint placement rules (per-block, loop
- * entry, procedure entry, call continuation, library call), elision
- * and the tag scheme.
+ * minimal-range properties (held to the first-written drain and
+ * search on random sequences), hint placement rules (per-block, loop
+ * entry, procedure entry, call continuation, library call), elision,
+ * the tag scheme and a golden digest over every annotated family.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
 #include <set>
 
 #include "compiler/pass.hh"
+#include "sim/technique.hh"
 #include "workloads/builder.hh"
+#include "workloads/family.hh"
 #include "workloads/workloads.hh"
 
 namespace siq::compiler
@@ -113,11 +118,12 @@ TEST(MinimalRange, MonotoneAndBounded)
     for (int i = 1; i < 20; i++)
         deps.push_back({i - 1, i});
     PseudoIqConfig cfg;
-    EXPECT_LE(minimalRange(chain, deps, cfg), 2);
+    EXPECT_LE(PseudoIqSequence(chain, deps, cfg).minimalRange().range,
+              2);
 
     // fully parallel ALU work: bounded by the 6 ALU units
     std::vector<PseudoInst> par(64, alu());
-    const int r = minimalRange(par, {}, cfg);
+    const int r = PseudoIqSequence(par, {}, cfg).minimalRange().range;
     const int alus =
         cfg.fuCounts[static_cast<int>(FuClass::IntAlu)];
     EXPECT_GE(r, alus - 1);
@@ -142,9 +148,222 @@ TEST(MinimalRange, StrictModeProtectsIssueTimes)
     div.pipelined = false;
     insts.push_back(div); // position 16, independent
     PseudoIqConfig cfg;
-    const int relaxed = minimalRange(insts, deps, cfg, {}, 0, false);
-    const int strict = minimalRange(insts, deps, cfg, {}, 0, true);
+    PseudoIqSequence seq(insts, deps, cfg);
+    const int relaxed = seq.minimalRange(0.0, false).range;
+    const int strict = seq.minimalRange(0.0, true).range;
     EXPECT_GT(strict, relaxed);
+}
+
+/**
+ * The pseudo IQ as it was first written (plus the widest-window
+ * record): children rebuilt per drain and every cycle's issue scan
+ * walking the whole window, issued entries included. The property
+ * test below holds the shared-graph drain and the range search to it.
+ */
+PseudoIqResult
+naiveDrain(const std::vector<PseudoInst> &insts,
+           const std::vector<PseudoDep> &deps, const PseudoIqConfig &cfg,
+           const std::array<int, numFuClasses> &fuBusyUntil,
+           int rangeLimit)
+{
+    const int n = static_cast<int>(insts.size());
+    PseudoIqResult res;
+    res.issueCycle.assign(static_cast<std::size_t>(n), -1);
+    if (n == 0)
+        return res;
+    std::vector<int> readyAt(static_cast<std::size_t>(n), 0);
+    std::vector<int> dispatchedAt(static_cast<std::size_t>(n), -1);
+    std::vector<int> pendingParents(static_cast<std::size_t>(n), 0);
+    std::vector<std::vector<int>> children(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; i++)
+        readyAt[i] = insts[i].externalReady;
+    for (const auto &d : deps) {
+        pendingParents[d.to]++;
+        children[d.from].push_back(d.to);
+    }
+    std::array<std::vector<int>, numFuClasses> unitFreeAt;
+    for (int k = 1; k < numFuClasses; k++) {
+        unitFreeAt[k].assign(
+            static_cast<std::size_t>(std::min(cfg.fuCounts[k], 64)),
+            fuBusyUntil[k]);
+    }
+    int remaining = n;
+    int nextDispatch = 0;
+    int oldestUnissued = 0;
+    int cycle = 0;
+    auto dispatch = [&] {
+        for (int d = 0; d < cfg.dispatchWidth && nextDispatch < n &&
+                        nextDispatch - oldestUnissued < rangeLimit;
+             d++) {
+            res.widestWindow = std::max(
+                res.widestWindow, nextDispatch - oldestUnissued + 1);
+            dispatchedAt[nextDispatch++] = cycle;
+        }
+    };
+    dispatch();
+    while (remaining > 0) {
+        int issued = 0;
+        int youngestIssued = -1;
+        const int oldestAtStart = oldestUnissued;
+        for (int i = oldestUnissued;
+             i < nextDispatch && issued < cfg.issueWidth; i++) {
+            if (res.issueCycle[i] >= 0 || pendingParents[i] > 0 ||
+                readyAt[i] > cycle || dispatchedAt[i] >= cycle) {
+                continue;
+            }
+            const PseudoInst &pi = insts[i];
+            if (pi.fu != FuClass::None) {
+                int *unit = nullptr;
+                for (int &freeAt : unitFreeAt[static_cast<int>(pi.fu)]) {
+                    if (freeAt <= cycle) {
+                        unit = &freeAt;
+                        break;
+                    }
+                }
+                if (unit == nullptr)
+                    continue;
+                *unit = pi.pipelined ? cycle + 1 : cycle + pi.latency;
+            }
+            issued++;
+            res.issueCycle[i] = cycle;
+            youngestIssued = i;
+            for (int c : children[i]) {
+                pendingParents[c]--;
+                readyAt[c] = std::max(readyAt[c], cycle + pi.latency);
+            }
+        }
+        if (youngestIssued >= 0) {
+            res.entriesNeeded = std::max(
+                res.entriesNeeded, youngestIssued - oldestAtStart + 1);
+            remaining -= issued;
+            while (oldestUnissued < n &&
+                   res.issueCycle[oldestUnissued] >= 0) {
+                oldestUnissued++;
+            }
+            res.drainCycles = cycle + 1;
+        }
+        dispatch();
+        cycle++;
+    }
+    return res;
+}
+
+/** The range search as it was first written: drain the reference,
+ *  then binary-search [1, cfg.iqSize] draining every probe. */
+int
+naiveMinimalRange(const std::vector<PseudoInst> &insts,
+                  const std::vector<PseudoDep> &deps,
+                  const PseudoIqConfig &cfg,
+                  const std::array<int, numFuClasses> &fuBusyUntil,
+                  double slackFraction, bool strict)
+{
+    if (insts.empty())
+        return 1;
+    const PseudoIqResult ref =
+        naiveDrain(insts, deps, cfg, fuBusyUntil, cfg.iqSize);
+    const int drainBudget =
+        ref.drainCycles +
+        static_cast<int>(static_cast<double>(ref.drainCycles) *
+                         slackFraction);
+    auto acceptable = [&](int range) {
+        const PseudoIqResult res =
+            naiveDrain(insts, deps, cfg, fuBusyUntil, range);
+        if (res.drainCycles > drainBudget)
+            return false;
+        if (strict) {
+            for (std::size_t i = 0; i < insts.size(); i++) {
+                if (res.issueCycle[i] > ref.issueCycle[i])
+                    return false;
+            }
+        }
+        return true;
+    };
+    int lo = 1;
+    int hi = cfg.iqSize;
+    while (lo < hi) {
+        const int mid = lo + (hi - lo) / 2;
+        if (acceptable(mid))
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
+
+void
+expectSameDrain(const PseudoIqResult &a, const PseudoIqResult &b)
+{
+    EXPECT_EQ(a.issueCycle, b.issueCycle);
+    EXPECT_EQ(a.drainCycles, b.drainCycles);
+    EXPECT_EQ(a.entriesNeeded, b.entriesNeeded);
+    EXPECT_EQ(a.widestWindow, b.widestWindow);
+}
+
+TEST(MinimalRange, MatchesTheFirstWrittenDrainAndSearch)
+{
+    std::mt19937 rng(20050212);
+    auto pick = [&](int lo, int hi) {
+        return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    const double slacks[] = {0.0, 0.02, 0.1, 0.5};
+    int skipped = 0;
+    for (int trial = 0; trial < 1500; trial++) {
+        PseudoIqConfig cfg;
+        cfg.iqSize = pick(1, 96);
+        cfg.issueWidth = pick(1, 8);
+        cfg.dispatchWidth = pick(1, 8);
+        if (pick(0, 1) == 1) {
+            for (int k = 1; k < numFuClasses; k++)
+                cfg.fuCounts[k] = pick(1, 4);
+        }
+        std::array<int, numFuClasses> busy{};
+        if (pick(0, 2) == 0) {
+            for (int k = 1; k < numFuClasses; k++)
+                busy[k] = pick(0, 12);
+        }
+
+        // a random DAG: every dependence points to a later position
+        const int n = pick(0, 64);
+        std::vector<PseudoInst> insts(static_cast<std::size_t>(n));
+        std::vector<PseudoDep> deps;
+        for (int i = 0; i < n; i++) {
+            PseudoInst &pi = insts[static_cast<std::size_t>(i)];
+            pi.fu = static_cast<FuClass>(pick(0, numFuClasses - 1));
+            pi.latency = pick(1, 12);
+            pi.pipelined = pick(0, 4) != 0;
+            pi.externalReady = pick(0, 3) == 0 ? pick(1, 20) : 0;
+            for (int p = pick(0, 3); p > 0 && i > 0; p--)
+                deps.push_back({pick(std::max(0, i - 12), i - 1), i});
+        }
+        const double slack = slacks[pick(0, 3)];
+        const bool strict = pick(0, 1) == 1;
+
+        PseudoIqSequence seq(insts, deps, cfg, busy);
+        const RangeSearch search = seq.minimalRange(slack, strict);
+        ASSERT_EQ(search.range,
+                  naiveMinimalRange(insts, deps, cfg, busy, slack,
+                                    strict))
+            << "trial " << trial;
+        const PseudoIqResult ref =
+            naiveDrain(insts, deps, cfg, busy, cfg.iqSize);
+        expectSameDrain(search.reference, ref);
+        if (ref.widestWindow < cfg.iqSize)
+            skipped++;
+
+        // any range, drained again on the same sequence: its scratch
+        // state does not leak across drains
+        const int range = pick(0, 3) == 0 ? unboundedRange
+                                          : pick(1, cfg.iqSize);
+        PseudoIqResult probe;
+        seq.drain(range, probe);
+        expectSameDrain(probe,
+                        naiveDrain(insts, deps, cfg, busy, range));
+        seq.drain(cfg.iqSize, probe);
+        expectSameDrain(probe, ref);
+        if (HasFailure())
+            FAIL() << "trial " << trial;
+    }
+    EXPECT_GT(skipped, 100) << "the skip must be exercised";
 }
 
 TEST(LoopAnalysis, SerialLoopNeedsFewEntries)
@@ -171,7 +390,7 @@ TEST(LoopAnalysis, SerialLoopNeedsFewEntries)
     const auto la = analyzeLoop(ddg, PseudoIqConfig{});
     EXPECT_LE(la.entries, 16)
         << "a 9-cycle serial recurrence cannot use a big window";
-    EXPECT_TRUE(la.hadCds);
+    EXPECT_TRUE(analyzeCds(ddg).has_value());
 }
 
 TEST(LoopAnalysis, ParallelLoopWantsManyEntries)
@@ -384,6 +603,66 @@ TEST(PathEnumeration, GccConservativeFallbackStillAnnotates)
     cfg.maxLoopPaths = 4; // force fallbacks
     const auto stats = annotate(prog, cfg);
     EXPECT_GT(stats.hintNoopsInserted, 0u);
+}
+
+/** FNV-1a 64-bit, folded one integer at a time. */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; i++) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+};
+
+/** Generated before the compiler's shared-graph drain was written;
+ *  any change to a hint value, placement or count moves it. */
+constexpr std::uint64_t kAnnotationDigest = 0xaa7c01b06eb307fdull;
+
+TEST(AnnotationPin, EveryFamilyAndSchemeMatchesGoldenDigest)
+{
+    // the determinism pin's workload parameters (seed 12345,
+    // repDivisor 40) under every technique that annotates
+    sim::RunConfig rc;
+    rc.workload.repDivisor = 40;
+    Fnv1a fnv;
+    int annotated = 0;
+    for (const auto &family : workloads::familyNames()) {
+        const Program raw = workloads::generate(family, rc.workload);
+        for (const auto &name : sim::techniqueNames()) {
+            const sim::TechniqueDef *def = sim::findTechnique(name);
+            if (!def->compilerConfig)
+                continue;
+            Program prog = raw;
+            const CompileStats stats =
+                annotate(prog, *def->compilerConfig(rc));
+            annotated++;
+            for (const auto &proc : prog.procs) {
+                for (const auto &block : proc.blocks) {
+                    fnv.add(block.insts.size());
+                    for (const auto &inst : block.insts) {
+                        fnv.add(static_cast<std::uint64_t>(inst.op));
+                        fnv.add(inst.hintValue);
+                        fnv.add(inst.tagHint);
+                    }
+                }
+            }
+            fnv.add(stats.proceduresAnalyzed);
+            fnv.add(stats.blocksAnalyzed);
+            fnv.add(stats.loopsAnalyzed);
+            fnv.add(stats.hintNoopsInserted);
+            fnv.add(stats.tagsApplied);
+            fnv.add(stats.hintsElided);
+        }
+    }
+    EXPECT_EQ(annotated, 14 * 3);
+    EXPECT_EQ(fnv.h, kAnnotationDigest)
+        << "annotated programs changed: actual digest is 0x" << std::hex
+        << fnv.h;
 }
 
 } // namespace

@@ -64,7 +64,9 @@ TEST(PaperFigure1, TwoEntriesRunFullSpeed)
     EXPECT_EQ(unconstrained, limited)
         << "the paper's figure 1(d): limiting to 2 entries causes "
            "no slowdown";
-    EXPECT_EQ(minimalRange(fig.insts, fig.deps, cfg), 2);
+    EXPECT_EQ(
+        PseudoIqSequence(fig.insts, fig.deps, cfg).minimalRange().range,
+        2);
 }
 
 TEST(PaperFigure1, PairsIssueInConsecutiveCycles)
@@ -123,7 +125,9 @@ TEST(PaperFigure3, NeedsFourEntries)
                                       cfg.iqSize);
     EXPECT_EQ(res.entriesNeeded, 4);
     // and the minimal non-degrading range agrees
-    EXPECT_EQ(minimalRange(fig.insts, fig.deps, cfg), 4);
+    EXPECT_EQ(
+        PseudoIqSequence(fig.insts, fig.deps, cfg).minimalRange().range,
+        4);
 }
 
 /**

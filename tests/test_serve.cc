@@ -216,6 +216,22 @@ TEST(Serve, InvalidConfigsGetErrorRecordsNamingTheField)
          "base.core.intRegs.numArch"},
         {with([](auto &s) { s.base.core.fuCounts[1] = 0; }),
          "base.core.fuCounts"},
+        {with([](auto &s) { s.base.core.mem.l1i.hitLatency = 0; }),
+         "base.core.mem.l1i.hitLatency"},
+        {with([](auto &s) { s.base.core.mem.l1d.hitLatency = 0; }),
+         "base.core.mem.l1d.hitLatency"},
+        {with([](auto &s) { s.base.core.mem.l2.hitLatency = -1; }),
+         "base.core.mem.l2.hitLatency"},
+        {with([](auto &s) { s.base.core.mem.memLatency = -5; }),
+         "base.core.mem.memLatency"},
+        {with([](auto &s) { s.base.core.decodeDepth = -1; }),
+         "base.core.decodeDepth"},
+        {with([](auto &s) { s.base.minHint = 0; }), "base.minHint"},
+        {with([](auto &s) { s.base.minHint = 81; }), "base.minHint"},
+        {with([](auto &s) { s.base.unrollFactor = 0; }),
+         "base.unrollFactor"},
+        {with([](auto &s) { s.base.unrollFactor = 25; }),
+         "base.unrollFactor"},
         {huge, "base.core.bpred.gshareEntries"},
     };
 
