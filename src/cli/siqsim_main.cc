@@ -10,6 +10,8 @@
  *                      the canonical single-file JSON/CSV
  *   siqsim status ...  report cells done/missing (per shard) for a
  *                      checkpoint run directory
+ *   siqsim table  ...  render a paper figure/table from complete run
+ *                      directories (cli/tables.hh)
  *   siqsim list        list benchmarks and techniques
  *
  * `run` and `merge` emit *canonical* exports: scheduling and
@@ -19,7 +21,6 @@
  * resumed. `diff` is the integrity check.
  */
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -29,6 +30,8 @@
 #include <string>
 #include <vector>
 
+#include "cli/tables.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "sim/checkpoint.hh"
 #include "sim/report.hh"
@@ -54,11 +57,15 @@ usage:
   siqsim merge DIR... [options]     fold checkpoint dirs into one matrix
   siqsim status DIR [--shards N] [--cache]
                                     cells done/missing in a run dir
+  siqsim table NAME [DIR...]        render a paper table from run dirs
   siqsim list                       list workload families and techniques
   siqsim serve --socket PATH | --stdio
                                     long-lived simulation daemon (JSONL)
 
-spec options (grid axes and budgets; all optional):
+spec options (grid axes and config fields; all optional):
+  --spec FILE                  start from this spec instead of the
+                               defaults (every registered family x
+                               every technique)
   --workloads a,b,... | all    workloads to sweep (default: every
                                registered family). Entries are workload
                                specs: a family name, optionally with
@@ -67,24 +74,33 @@ spec options (grid axes and budgets; all optional):
                                ('siqsim list' shows families + params;
                                --benchmarks is accepted as an alias)
   --techniques a,b,... | all   techniques to sweep (default: all built-ins)
+  --set PATH=VALUE             set any spec field (repeatable): PATH
+                               is a key of the spec JSON, config
+                               fields relative to "base"
+                               ('core.iq.bankSize=16', 'minHint=8',
+                               'core.specFrontEnd=true'); VALUE is
+                               range-checked like a spec file's
   --warmup N / --measure N     per-cell instruction budgets
+                               (warmupInsts / measureInsts)
   --seeds N                    replicas per cell (0 = SIQSIM_SEEDS, 1 = off)
-  --jobs N                     worker threads (0 = SIQSIM_JOBS / cores)
-  --scale N / --rep-divisor N  workload size knobs
-  --seed N                     base workload seed
+  --jobs N                     worker threads (0 = cores)
+  --scale N / --rep-divisor N  workload size knobs (workload.scale /
+                               workload.repDivisor)
+  --seed N                     base workload seed (workload.seed)
   --speculative                model the real front end (gshare + BTB +
                                RAS with wrong-path fetch and squash
                                recovery) instead of the oracle
+                               (core.specFrontEnd=true)
   --out FILE                   write the spec there instead of stdout
 
 run options:
   --spec FILE                  the spec to run (required)
   --shard i/N                  run only cells with index % N == i
-                               (default $SIQSIM_SHARD; requires --ckpt)
+                               (requires --ckpt)
   --ckpt DIR                   checkpoint run directory: finished cells
                                are published atomically as they finish,
                                and already-checkpointed cells are
-                               skipped on restart (default $SIQSIM_CKPT)
+                               skipped on restart
   --jobs N / --seeds N         override the spec's values
   --json/--csv/--power-csv FILE   canonical exports ('-' = stdout)
   --baseline NAME              power-CSV baseline technique [baseline]
@@ -106,6 +122,14 @@ status options:
   exit status: 0 when every cell is checkpointed, 3 when cells are
   still missing (distinct from 1, a usage/IO error)
 
+table options:
+  NAME                         one of the tables below
+  DIR...                       complete run directories written by
+                               'run --ckpt' from the specs/ files
+                               (figures: specs/paper.json; mispredict:
+                               it and specs/paper-speculative.json;
+                               A1-A4: the specs/ablation*.json runs)
+)" << cli::tableList() << R"(
 serve options (protocol: DESIGN.md §13):
   --socket PATH                listen on a unix domain socket; each
                                connection is an independent client
@@ -200,17 +224,6 @@ toLong(const std::string &name, const std::string &value)
     return v;
 }
 
-/** For unsigned config fields: a negative value must not wrap into
- *  an astronomically large budget or seed. */
-std::uint64_t
-toU64(const std::string &name, const std::string &value)
-{
-    const long v = toLong(name, value);
-    if (v < 0)
-        fatal("siqsim: --", name, " must be >= 0, got '", value, "'");
-    return static_cast<std::uint64_t>(v);
-}
-
 std::vector<std::string>
 splitList(const std::string &csv)
 {
@@ -299,12 +312,80 @@ struct ExportPaths
     }
 };
 
+/**
+ * Apply one `PATH=VALUE` edit to a spec tree (sim::specTree). PATH is
+ * a top-level spec key ("seeds") or a dotted config field, relative
+ * to "base" ("core.iq.bankSize") or not ("base.minHint"); VALUE is a
+ * JSON value, or plain text for a string field. Unknown paths and
+ * kind mismatches fail here naming the path; ranges are the spec
+ * reader's to check.
+ */
+void
+setField(json::Value &tree, const std::string &edit)
+{
+    const auto eq = edit.find('=');
+    if (eq == std::string::npos || eq == 0)
+        fatal("siqsim: --set expects PATH=VALUE, got '", edit, "'");
+    const std::string path = edit.substr(0, eq);
+    const std::string text = edit.substr(eq + 1);
+
+    std::vector<std::string> keys;
+    std::istringstream is(path);
+    for (std::string k; std::getline(is, k, '.');)
+        keys.push_back(k);
+    json::Value *node = tree.find(keys.front()) ? &tree : tree.find("base");
+    for (const auto &k : keys) {
+        node = node->kind == json::Value::Kind::Object ? node->find(k)
+                                                        : nullptr;
+        if (node == nullptr)
+            fatal("siqsim: --set: unknown field '", path, "'");
+    }
+
+    json::Value value;
+    value.kind = json::Value::Kind::String;
+    value.token = text;
+    if (node->kind != json::Value::Kind::String) {
+        try {
+            value = json::parse(text);
+        } catch (const FatalError &) {
+            // not JSON: left as text, which the kind check rejects
+        }
+    }
+    if (value.kind != node->kind) {
+        static const char *const kinds[] = {
+            "null", "a boolean", "a number", "a string", "an array",
+            "an object"};
+        fatal("siqsim: ", path, " expects ",
+              kinds[static_cast<int>(node->kind)], ", got '", text, "'");
+    }
+    *node = std::move(value);
+}
+
+/** @p spec with @p edits applied, read back through the spec reader,
+ *  which range-checks every field and validates the config, naming
+ *  the field on failure. */
+sim::SweepSpec
+edited(const sim::SweepSpec &spec, const std::vector<std::string> &edits)
+{
+    json::Value tree = sim::specTree(spec);
+    for (const auto &e : edits)
+        setField(tree, e);
+    return sim::specFromJson(tree);
+}
+
 int
 cmdSpec(Args args)
 {
     sim::SweepSpec spec;
-    spec.benchmarks = workloads::familyNames();
-    spec.techniques = sim::techniqueNames();
+    if (const auto from = args.option("spec")) {
+        std::ifstream is(*from);
+        if (!is)
+            fatal("siqsim spec: cannot read '", *from, "'");
+        spec = sim::readSpecJson(is);
+    } else {
+        spec.benchmarks = workloads::familyNames();
+        spec.techniques = sim::techniqueNames();
+    }
     // --workloads is the primary spelling; --benchmarks is kept as a
     // compatibility alias (both accept workload specs, not just names)
     auto workloadsOpt = args.option("workloads");
@@ -314,10 +395,15 @@ cmdSpec(Args args)
               "pass only one");
     if (!workloadsOpt)
         workloadsOpt = benchmarksOpt;
-    if (workloadsOpt && *workloadsOpt != "all")
-        spec.benchmarks = splitList(*workloadsOpt);
-    if (auto v = args.option("techniques"); v && *v != "all")
-        spec.techniques = splitList(*v);
+    if (workloadsOpt) {
+        spec.benchmarks = *workloadsOpt == "all"
+                              ? workloads::familyNames()
+                              : splitList(*workloadsOpt);
+    }
+    if (auto v = args.option("techniques")) {
+        spec.techniques =
+            *v == "all" ? sim::techniqueNames() : splitList(*v);
+    }
     // canonicalize and validate now, so a typo fails here with the
     // registered families listed instead of deep inside a run
     for (auto &b : spec.benchmarks)
@@ -327,25 +413,31 @@ cmdSpec(Args args)
             fatal("siqsim: unknown technique '", t, "' (try 'siqsim "
                   "list')");
     }
-    if (auto v = args.option("warmup"))
-        spec.base.warmupInsts = toU64("warmup", *v);
-    if (auto v = args.option("measure"))
-        spec.base.measureInsts = toU64("measure", *v);
-    if (auto v = args.option("seeds"))
-        spec.seeds = static_cast<int>(toLong("seeds", *v));
-    if (auto v = args.option("jobs"))
-        spec.jobs = static_cast<int>(toLong("jobs", *v));
-    if (auto v = args.option("scale"))
-        spec.base.workload.scale = static_cast<int>(toLong("scale", *v));
-    if (auto v = args.option("rep-divisor"))
-        spec.base.workload.repDivisor =
-            static_cast<int>(toLong("rep-divisor", *v));
-    if (auto v = args.option("seed"))
-        spec.base.workload.seed = toU64("seed", *v);
+
+    // every field edit goes through one setter: the flag aliases
+    // first, then each --set in order
+    std::vector<std::string> edits;
+    static const std::pair<const char *, const char *> aliases[] = {
+        {"warmup", "warmupInsts"},
+        {"measure", "measureInsts"},
+        {"seeds", "seeds"},
+        {"jobs", "jobs"},
+        {"scale", "workload.scale"},
+        {"rep-divisor", "workload.repDivisor"},
+        {"seed", "workload.seed"},
+    };
+    for (const auto &[flag, path] : aliases) {
+        if (auto v = args.option(flag))
+            edits.push_back(std::string(path) + "=" + *v);
+    }
     if (args.flag("speculative"))
-        spec.base.core.specFrontEnd = true;
+        edits.push_back("core.specFrontEnd=true");
+    while (auto v = args.option("set"))
+        edits.push_back(*v);
     const std::string out = args.option("out").value_or("-");
     args.expectConsumed();
+
+    spec = edited(spec, edits);
     writeOut(out, [&](std::ostream &os) {
         sim::writeSpecJson(os, spec);
     });
@@ -361,25 +453,15 @@ cmdRun(Args args)
     std::ifstream is(*specPath);
     if (!is)
         fatal("siqsim run: cannot read '", *specPath, "'");
-    sim::SweepSpec spec = sim::readSpecJson(is);
+    std::vector<std::string> edits;
+    for (const char *key : {"jobs", "seeds"}) {
+        if (auto v = args.option(key))
+            edits.push_back(std::string(key) + "=" + *v);
+    }
+    const sim::SweepSpec spec = edited(sim::readSpecJson(is), edits);
 
-    if (auto v = args.option("jobs"))
-        spec.jobs = static_cast<int>(toLong("jobs", *v));
-    if (auto v = args.option("seeds"))
-        spec.seeds = static_cast<int>(toLong("seeds", *v));
-
-    auto envOpt = [](const char *name) -> std::optional<std::string> {
-        const char *v = std::getenv(name);
-        if (v == nullptr || *v == '\0')
-            return std::nullopt;
-        return std::string(v);
-    };
-    auto shardText = args.option("shard");
-    if (!shardText)
-        shardText = envOpt("SIQSIM_SHARD");
-    auto ckptDir = args.option("ckpt");
-    if (!ckptDir)
-        ckptDir = envOpt("SIQSIM_CKPT");
+    const auto shardText = args.option("shard");
+    const auto ckptDir = args.option("ckpt");
 
     ExportPaths exports;
     exports.take(args);
@@ -555,6 +637,21 @@ cmdStatus(Args args)
 }
 
 int
+cmdTable(Args args)
+{
+    const auto &rest = args.rest();
+    for (const auto &t : rest) {
+        if (t.rfind("--", 0) == 0)
+            fatal("siqsim table: unrecognized option '", t, "'");
+    }
+    if (rest.empty())
+        fatal("siqsim table: NAME is required (see siqsim --help)");
+    cli::printTable(rest.front(), {rest.begin() + 1, rest.end()},
+                    std::cout);
+    return 0;
+}
+
+int
 cmdList()
 {
     std::cout << "workload families:\n";
@@ -624,6 +721,8 @@ main(int argc, char **argv)
             return cmdMerge(Args(argc, argv, 2));
         if (cmd == "status")
             return cmdStatus(Args(argc, argv, 2));
+        if (cmd == "table")
+            return cmdTable(Args(argc, argv, 2));
         if (cmd == "list")
             return cmdList();
         if (cmd == "serve")

@@ -38,6 +38,12 @@ struct Value
     /** Optional member lookup for schema-evolution keys. */
     const Value *find(const std::string &key) const;
 
+    Value *
+    find(const std::string &key)
+    {
+        return const_cast<Value *>(std::as_const(*this).find(key));
+    }
+
     /// @name Typed accessors; fatal on kind/format mismatch.
     /// @{
     std::uint64_t asU64() const;

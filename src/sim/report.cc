@@ -473,73 +473,74 @@ writeValue(std::ostream &os, const std::array<int, N> &a)
     os << ']';
 }
 
+/** @p allFields also writes IF_SET fields left at their defaults. */
 template <ConfigStruct C>
 void
-writeValue(std::ostream &os, const C &c)
+writeValue(std::ostream &os, const C &c, bool allFields = false)
 {
     os << '{';
     const char *sep = "";
     visitFields(c, [&](const char *key, const auto &v, auto ifSet) {
+        using T = std::remove_cvref_t<decltype(v)>;
         if constexpr (ifSet) {
-            if (v == std::remove_cvref_t<decltype(v)>{})
+            if (!allFields && v == T{})
                 return;
         }
         os << sep << '"' << key << "\":";
-        writeValue(os, v);
+        if constexpr (ConfigStruct<T>)
+            writeValue(os, v, allFields);
+        else
+            writeValue(os, v);
         sep = ",";
     });
     os << '}';
 }
 
-void
-readValue(const JsonValue &j, int &v, const FieldPath &)
-{
-    v = j.asInt();
-}
+// leaf readers: a type or range error is reported by readField with
+// the field's path
+void readValue(const JsonValue &j, int &v) { v = j.asInt(); }
+void readValue(const JsonValue &j, bool &v) { v = j.asBool(); }
+void readValue(const JsonValue &j, std::uint64_t &v) { v = j.asU64(); }
+void readValue(const JsonValue &j, double &v) { v = j.asDouble(); }
+void readValue(const JsonValue &j, std::string &v) { v = j.asString(); }
 
 void
-readValue(const JsonValue &j, bool &v, const FieldPath &)
-{
-    v = j.asBool();
-}
-
-void
-readValue(const JsonValue &j, std::uint64_t &v, const FieldPath &)
-{
-    v = j.asU64();
-}
-
-void
-readValue(const JsonValue &j, double &v, const FieldPath &)
-{
-    v = j.asDouble();
-}
-
-void
-readValue(const JsonValue &j, std::string &v, const FieldPath &)
-{
-    v = j.asString();
-}
-
-void
-readValue(const JsonValue &j, std::uint32_t &v, const FieldPath &path)
+readValue(const JsonValue &j, std::uint32_t &v)
 {
     const std::uint64_t u = j.asU64();
     if (u > std::numeric_limits<std::uint32_t>::max())
-        fatal("spec JSON: ", path.str(), " must be <= ",
-              std::numeric_limits<std::uint32_t>::max(), ", got ", u);
+        fatal("must be <= ", std::numeric_limits<std::uint32_t>::max(),
+              ", got ", u);
     v = static_cast<std::uint32_t>(u);
 }
 
 template <std::size_t N>
 void
-readValue(const JsonValue &j, std::array<int, N> &a, const FieldPath &path)
+readValue(const JsonValue &j, std::array<int, N> &a)
 {
     if (j.array.size() != N)
-        fatal("spec JSON: ", path.str(), " must have ", N,
-              " entries, got ", j.array.size());
+        fatal("must have ", N, " entries, got ", j.array.size());
     for (std::size_t i = 0; i < N; i++)
         a[i] = j.array[i].asInt();
+}
+
+template <ConfigStruct C>
+void readValue(const JsonValue &j, C &c, const FieldPath &path);
+
+/** Read one field; a leaf's error names the field's path. */
+template <class T>
+void
+readField(const JsonValue &j, T &v, const FieldPath &path)
+{
+    if constexpr (ConfigStruct<T>) {
+        readValue(j, v, path);
+    } else {
+        try {
+            readValue(j, v);
+        } catch (const FatalError &e) {
+            fatal("spec JSON: ", path.str(), ": ", e.what());
+        }
+    }
 }
 
 template <ConfigStruct C>
@@ -548,12 +549,11 @@ readValue(const JsonValue &j, C &c, const FieldPath &path)
 {
     visitFields(c, [&](const char *key, auto &v, auto ifSet) {
         const FieldPath sub{&path, key};
-        if constexpr (ifSet) {
-            if (const JsonValue *present = j.find(key))
-                readValue(*present, v, sub);
-        } else {
-            readValue(j.at(key), v, sub);
-        }
+        const JsonValue *present = j.find(key);
+        if (present != nullptr)
+            readField(*present, v, sub);
+        else if (!ifSet)
+            fatal("spec JSON: missing field ", sub.str());
     });
 }
 
@@ -657,6 +657,8 @@ requireRegFile(const RegFileConfig &r, std::string_view path)
 void
 validate(const RunConfig &cfg)
 {
+    requirePositive(cfg.workload.scale, "workload", ".scale");
+    requirePositive(cfg.workload.repDivisor, "workload", ".repDivisor");
     const CoreConfig &c = cfg.core;
     requirePositive(c.fetchWidth, "core", ".fetchWidth");
     requirePositive(c.dispatchWidth, "core", ".dispatchWidth");
@@ -701,8 +703,11 @@ validate(const RunConfig &cfg)
             compiler::maxLoopCopies, "], got ", cfg.unrollFactor);
 }
 
+namespace
+{
+
 void
-writeSpecJson(std::ostream &os, const SweepSpec &spec)
+writeSpec(std::ostream &os, const SweepSpec &spec, bool allFields)
 {
     os << "{\"benchmarks\":[";
     for (std::size_t i = 0; i < spec.benchmarks.size(); i++) {
@@ -714,8 +719,24 @@ writeSpecJson(std::ostream &os, const SweepSpec &spec)
         os << (i ? "," : "") << quote(spec.techniques[i]);
     os << "],\"jobs\":" << spec.jobs << ",\"seeds\":" << spec.seeds
        << ",\n\"base\":";
-    writeValue(os, spec.base);
+    writeValue(os, spec.base, allFields);
     os << "}\n";
+}
+
+} // namespace
+
+void
+writeSpecJson(std::ostream &os, const SweepSpec &spec)
+{
+    writeSpec(os, spec, false);
+}
+
+json::Value
+specTree(const SweepSpec &spec)
+{
+    std::ostringstream os;
+    writeSpec(os, spec, true);
+    return json::parse(os.str());
 }
 
 std::string

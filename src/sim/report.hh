@@ -93,6 +93,12 @@ void writeSpecJson(std::ostream &os, const SweepSpec &spec);
  *  verify resume/merge compatibility — DESIGN.md §8.2). */
 std::string toJson(const SweepSpec &spec);
 
+/** The spec as a JSON tree with every config field present, IF_SET
+ *  ones included (writeSpecJson elides them at their defaults): the
+ *  tree a field edit (`siqsim spec --set`) addresses before
+ *  specFromJson reads it back. */
+json::Value specTree(const SweepSpec &spec);
+
 /** Parse writeSpecJson output. Every field round-trips bit-exactly.
  *  Fatal on malformed input, unknown technique names, or a base
  *  config that fails validate(). */

@@ -14,6 +14,7 @@ baseCompilerConfig(const RunConfig &cfg)
 {
     compiler::CompilerConfig cc;
     cc.machine.issueWidth = cfg.core.issueWidth;
+    cc.machine.dispatchWidth = cfg.core.dispatchWidth;
     cc.machine.iqSize = cfg.core.iq.numEntries;
     cc.machine.fuCounts = cfg.core.fuCounts;
     cc.machine.l1dHitLatency = cfg.core.mem.l1d.hitLatency;

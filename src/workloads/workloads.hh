@@ -26,7 +26,9 @@
 #ifndef SIQ_WORKLOADS_WORKLOADS_HH
 #define SIQ_WORKLOADS_WORKLOADS_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -57,8 +59,11 @@ struct WorkloadParams
     int
     reps(int base) const
     {
-        const int r = base * scale / (repDivisor > 0 ? repDivisor : 1);
-        return r > 0 ? r : 1;
+        // in 64 bits: base * scale overflows int for a large scale
+        const std::int64_t r = std::int64_t{base} * scale /
+                               (repDivisor > 0 ? repDivisor : 1);
+        return static_cast<int>(
+            std::clamp<std::int64_t>(r, 1, std::numeric_limits<int>::max()));
     }
 };
 

@@ -86,6 +86,30 @@ s/"minHint":4/"minHint":0/ base.minHint
 s/"minHint":4/"minHint":81/ base.minHint
 s/"unrollFactor":4/"unrollFactor":0/ base.unrollFactor
 s/"unrollFactor":4/"unrollFactor":25/ base.unrollFactor
+s/"scale":1,/"scale":0,/ base.workload.scale
+s/"scale":1,/"scale":-2,/ base.workload.scale
+s/"scale":1,/"scale":99999999999,/ base.workload.scale
+s/"repDivisor":40/"repDivisor":0/ base.workload.repDivisor
+s/"seeds":0/"seeds":-3/ seeds
+EOF
+
+# the same values given as 'siqsim spec' flags fail there, before a
+# spec is written (exit 1, the field named)
+while read -r field flags; do
+    status=0
+    # shellcheck disable=SC2086
+    "$SIQSIM" spec --workloads gzip $flags > bad_flag.json 2> bad.err ||
+        status=$?
+    if [ "$status" -ne 1 ] || ! grep -qF "$field" bad.err; then
+        echo "spec $flags: want exit 1 naming $field, got" \
+            "$status: $(cat bad.err)" >&2
+        exit 1
+    fi
+done <<'EOF'
+base.workload.scale --scale 99999999999
+base.workload.scale --scale -2
+base.workload.repDivisor --rep-divisor 0
+seeds --seeds -3
 EOF
 
 echo "cli_spec_smoke: OK"

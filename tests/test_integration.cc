@@ -201,5 +201,41 @@ TEST_P(StructuralSweep, GzipFunctionalUnderGeometry)
                   ref[static_cast<std::size_t>(a)]);
 }
 
+TEST(PaperConfig, DefaultsMatchTable1)
+{
+    // the machine of the paper's Table 1, which `siqsim table table1`
+    // prints beside the paper's values
+    const CoreConfig cfg;
+    EXPECT_EQ(cfg.fetchWidth, 8);
+    EXPECT_EQ(cfg.dispatchWidth, 8);
+    EXPECT_EQ(cfg.commitWidth, 8);
+    EXPECT_EQ(cfg.bpred.gshareEntries, 2048u);
+    EXPECT_EQ(cfg.bpred.bimodalEntries, 2048u);
+    EXPECT_EQ(cfg.bpred.selectorEntries, 1024u);
+    EXPECT_EQ(cfg.bpred.btbEntries, 2048u);
+    EXPECT_EQ(cfg.bpred.btbAssoc, 4u);
+    const auto cache = [](const CacheConfig &c, std::uint32_t kb,
+                          std::uint32_t assoc, std::uint32_t line,
+                          int latency) {
+        EXPECT_EQ(c.sizeBytes, kb * 1024) << c.name;
+        EXPECT_EQ(c.assoc, assoc) << c.name;
+        EXPECT_EQ(c.lineBytes, line) << c.name;
+        EXPECT_EQ(c.hitLatency, latency) << c.name;
+    };
+    cache(cfg.mem.l1i, 64, 2, 32, 1);
+    cache(cfg.mem.l1d, 64, 4, 32, 2);
+    cache(cfg.mem.l2, 512, 8, 64, 10);
+    EXPECT_EQ(cfg.mem.memLatency, 50);
+    EXPECT_EQ(cfg.robSize, 128);
+    EXPECT_EQ(cfg.iq.numEntries, 80);
+    EXPECT_EQ(cfg.intRegs.numPhys, 112);
+    EXPECT_EQ(cfg.intRegs.numPhys / cfg.intRegs.bankSize, 14);
+    EXPECT_EQ(cfg.fpRegs.numPhys, 112);
+    EXPECT_EQ(cfg.fuCounts[static_cast<int>(FuClass::IntAlu)], 6);
+    EXPECT_EQ(cfg.fuCounts[static_cast<int>(FuClass::IntMul)], 3);
+    EXPECT_EQ(cfg.fuCounts[static_cast<int>(FuClass::FpAlu)], 4);
+    EXPECT_EQ(cfg.fuCounts[static_cast<int>(FuClass::FpMulDiv)], 2);
+}
+
 } // namespace
 } // namespace siq

@@ -197,6 +197,12 @@ TEST(Serve, InvalidConfigsGetErrorRecordsNamingTheField)
     ASSERT_NE(huge.find(gshare), std::string::npos);
     huge.replace(huge.find(gshare), gshare.size(),
                  "\"gshareEntries\":4294967297");
+    // an int field past INT_MAX is rejected, not truncated
+    std::string bigScale = sim::toJson(good);
+    const std::string scale = "\"scale\":1,";
+    ASSERT_NE(bigScale.find(scale), std::string::npos);
+    bigScale.replace(bigScale.find(scale), scale.size(),
+                     "\"scale\":99999999999,");
     const std::vector<std::pair<std::string, std::string>> bad = {
         {with([](auto &s) { s.base.core.robSize = 0; }),
          "base.core.robSize"},
@@ -233,6 +239,14 @@ TEST(Serve, InvalidConfigsGetErrorRecordsNamingTheField)
         {with([](auto &s) { s.base.unrollFactor = 25; }),
          "base.unrollFactor"},
         {huge, "base.core.bpred.gshareEntries"},
+        {with([](auto &s) { s.base.workload.scale = 0; }),
+         "base.workload.scale"},
+        {with([](auto &s) { s.base.workload.scale = -2; }),
+         "base.workload.scale"},
+        {with([](auto &s) { s.base.workload.repDivisor = 0; }),
+         "base.workload.repDivisor"},
+        {bigScale, "base.workload.scale"},
+        {with([](auto &s) { s.seeds = -3; }), "seeds"},
     };
 
     sim::ServeEngine engine({});

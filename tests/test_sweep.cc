@@ -89,6 +89,44 @@ TEST(TechniqueTable, FactoriesMatchLegacyMapping)
     EXPECT_TRUE(improved->interprocFu);
 }
 
+TEST(TechniqueTable, CompilerMirrorsTheMachine)
+{
+    // every CoreConfig field the compiler's pseudo IQ models: changing
+    // it must change the machine the hints are sized for
+    struct Mirror
+    {
+        const char *field;
+        int &(*core)(sim::RunConfig &);
+        int (*machine)(const compiler::PseudoIqConfig &);
+    };
+#define MIRROR(coreField, machineField)                                  \
+    {#coreField,                                                         \
+     [](sim::RunConfig &c) -> int & { return c.core.coreField; },        \
+     [](const compiler::PseudoIqConfig &m) { return m.machineField; }}
+    const Mirror mirrors[] = {
+        MIRROR(issueWidth, issueWidth),
+        MIRROR(dispatchWidth, dispatchWidth),
+        MIRROR(iq.numEntries, iqSize),
+        MIRROR(mem.l1d.hitLatency, l1dHitLatency),
+        MIRROR(fuCounts[1], fuCounts[1]), // IntAlu
+        MIRROR(fuCounts[2], fuCounts[2]), // IntMul
+        MIRROR(fuCounts[3], fuCounts[3]), // FpAlu
+        MIRROR(fuCounts[4], fuCounts[4]), // FpMulDiv
+        MIRROR(fuCounts[5], fuCounts[5]), // MemPort
+    };
+#undef MIRROR
+    const auto machine = [](const sim::RunConfig &cfg) {
+        return sim::findTechnique("noop")->compilerConfig(cfg)->machine;
+    };
+    for (const auto &m : mirrors) {
+        sim::RunConfig cfg;
+        const int before = m.machine(machine(cfg));
+        EXPECT_EQ(before, m.core(cfg)) << m.field;
+        m.core(cfg) += 2;
+        EXPECT_EQ(m.machine(machine(cfg)), before + 2) << m.field;
+    }
+}
+
 TEST(ExperimentRunner, ThreadedIsBitIdenticalToSerial)
 {
     auto spec = smallSpec();
