@@ -5,8 +5,9 @@
 namespace siq
 {
 
-AbellaResizer::AbellaResizer(const AbellaConfig &config)
-    : cfg(config), limit(config.iqSize)
+AbellaResizer::AbellaResizer(const AbellaConfig &config, int iqSize_,
+                             int robSize_)
+    : cfg(config), iqSize(iqSize_), robSize(robSize_), limit(iqSize_)
 {}
 
 int
@@ -14,7 +15,7 @@ AbellaResizer::robLimit() const
 {
     // the ROB limit scales with the IQ limit but never drops below
     // the 64-entry floor that names the IqRob64 configuration
-    const int scaled = limit * cfg.robSize / cfg.iqSize;
+    const int scaled = limit * robSize / iqSize;
     return std::max(cfg.robFloor, scaled);
 }
 
@@ -35,7 +36,7 @@ AbellaResizer::tick(const ResizeSignals &signals)
 
     if (stallFrac > cfg.stallFractionToGrow) {
         // the limit is hurting: back off
-        limit = std::min(cfg.iqSize, limit + cfg.portion);
+        limit = std::min(iqSize, limit + cfg.portion);
     } else if (avgOccupancy <=
                limit - cfg.slackPortions * cfg.portion) {
         // on average a whole portion sat unused: shrink toward the

@@ -29,8 +29,6 @@ namespace siq
 /** Tuning knobs for the Abella&González-style resizer. */
 struct AbellaConfig
 {
-    int iqSize = 80;
-    int robSize = 128;
     int portion = 8;      ///< IQ resize granularity
     int minIq = 16;
     int robFloor = 64;    ///< the "64" in IqRob64
@@ -50,20 +48,18 @@ struct AbellaConfig
 class AbellaResizer : public IqLimitController
 {
   public:
-    explicit AbellaResizer(const AbellaConfig &config);
+    /** @p iqSize and @p robSize are the machine's (CoreConfig): the
+     *  limits start there and never grow past them. */
+    AbellaResizer(const AbellaConfig &config, int iqSize, int robSize);
 
     void tick(const ResizeSignals &signals) override;
     int iqLimit() const override { return limit; }
     int robLimit() const override;
 
-    std::uint64_t
-    decisionHorizon() const override
-    {
-        return cfg.intervalCycles - cycleInInterval;
-    }
-
   private:
     AbellaConfig cfg;
+    int iqSize;
+    int robSize;
     int limit;
     std::uint64_t cycleInInterval = 0;
     std::uint64_t occupancySum = 0;

@@ -5,8 +5,9 @@
 namespace siq
 {
 
-FolegnaniResizer::FolegnaniResizer(const FolegnaniConfig &config)
-    : cfg(config), limit(config.iqSize)
+FolegnaniResizer::FolegnaniResizer(const FolegnaniConfig &config,
+                                   int iqSize_)
+    : cfg(config), iqSize(iqSize_), limit(iqSize_)
 {}
 
 void
@@ -21,7 +22,7 @@ FolegnaniResizer::tick(const ResizeSignals &signals)
         limit = std::max(cfg.minSize, limit - cfg.portion);
     }
     if (++intervalsSinceExpand >= cfg.expandPeriod) {
-        limit = std::min(cfg.iqSize, limit + cfg.portion);
+        limit = std::min(iqSize, limit + cfg.portion);
         intervalsSinceExpand = 0;
     }
     cycleInInterval = 0;

@@ -25,7 +25,6 @@ namespace siq
 /** Tuning knobs for the Folegnani&González resizer. */
 struct FolegnaniConfig
 {
-    int iqSize = 80;
     int portion = 8;          ///< resize granularity (one bank)
     int minSize = 16;
     std::uint64_t intervalCycles = 1000;
@@ -39,20 +38,17 @@ struct FolegnaniConfig
 class FolegnaniResizer : public IqLimitController
 {
   public:
-    explicit FolegnaniResizer(const FolegnaniConfig &config);
+    /** @p iqSize is the machine's (CoreConfig): the limit starts
+     *  there and never grows past it. */
+    FolegnaniResizer(const FolegnaniConfig &config, int iqSize);
 
     void tick(const ResizeSignals &signals) override;
     int iqLimit() const override { return limit; }
     int robLimit() const override { return 1 << 30; }
 
-    std::uint64_t
-    decisionHorizon() const override
-    {
-        return cfg.intervalCycles - cycleInInterval;
-    }
-
   private:
     FolegnaniConfig cfg;
+    int iqSize;
     int limit;
     std::uint64_t cycleInInterval = 0;
     std::uint64_t youngIssues = 0;

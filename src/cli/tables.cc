@@ -428,9 +428,8 @@ mispredict(const std::vector<Run> &runs, std::ostream &os)
     const Run &oracle = mode(false);
     const Run &spec = mode(true);
 
-    // the two mode labels of the study, then the suite means per
-    // technique, each mode against its own baseline
-    os << "oracle front end:\nspeculative front end:\n";
+    // the suite means per technique, each mode against its own
+    // baseline
     techniqueTable(sim::techniqueNames(), oracle.workloads().size(),
                    {{"iq dyn (oracle)"},
                     {"iq dyn (spec)"},

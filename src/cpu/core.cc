@@ -44,23 +44,6 @@ CompletionWheel::popDue(std::uint64_t now, std::vector<Completion> &out)
             vec[keep++] = ev; // beyond-horizon lap: keep, in order
     }
     vec.resize(keep);
-    inFlight -= out.size();
-}
-
-std::uint64_t
-CompletionWheel::nextDue(std::uint64_t now) const
-{
-    if (inFlight == 0)
-        return ~0ull;
-    std::uint64_t best = ~0ull;
-    for (const auto &vec : slots) {
-        for (const Event &ev : vec) {
-            SIQ_ASSERT(ev.cycle >= now, "in-flight event in the past");
-            if (ev.cycle < best)
-                best = ev.cycle;
-        }
-    }
-    return best;
 }
 
 Core::Core(const Program &prog_, const CoreConfig &config,
@@ -879,152 +862,6 @@ Core::tick()
     now++;
 }
 
-void
-Core::maybeFastForward()
-{
-    constexpr std::uint64_t noBound = ~0ull;
-    // earliest future cycle at which some stage could act; stays
-    // noBound only if no timer is pending (then skipping would hide
-    // a genuine deadlock from run()'s no-progress assert, so don't)
-    std::uint64_t next = noBound;
-
-    // commit: acts as soon as the ROB head is completed
-    if (robCount > 0 && robCompleted[robHead])
-        return;
-
-    // writeback: the earliest in-flight completion event. All events
-    // are >= now (due ones were popped this tick), so this both
-    // detects "due next cycle" and bounds the jump.
-    next = std::min(next, wheel.nextDue(now));
-
-    // select/issue: any ready entry that a fresh cycle could issue
-    // (no width pressure: issueWidth >= 1). FU-blocked candidates
-    // unblock when a non-pipelined unit frees; load-blocked ones
-    // only via completion events, already bounded above.
-    iq.collectReady(readyScratch);
-    for (const auto &cand : readyScratch) {
-        const RobHot &h = robHot[cand.robIdx];
-        const int fu = h.fu;
-        if (fu != static_cast<int>(FuClass::None) &&
-            fuUnitsBusy(fu) >= cfg.fuCounts[fu]) {
-            for (const std::uint64_t until : nonPipedBusy[fu])
-                next = std::min(next, until);
-            continue;
-        }
-        if ((h.flags & robFlagLoad) && lsq.loadBlocked(h.lsqIdx))
-            continue;
-        return; // issuable right now
-    }
-
-    // dispatch: mirror dispatchStage's break order exactly so the
-    // skipped cycles bump the same stall counter it would have
-    std::uint64_t *stallCtr = nullptr;
-    bool stalledByLimit = false;
-    if (fqCount > 0) {
-        const DynInst &front = fetchQueue[fqHead];
-        if (front.decodeReadyCycle > now) {
-            next = std::min(next, front.decodeReadyCycle);
-        } else if (front.si->op == Opcode::Hint) {
-            return; // would be stripped (a dispatch action)
-        } else {
-            const auto &t = front.si->traits();
-            const bool needsIq = t.fu != FuClass::None;
-            int dstFile = -1;
-            if (front.si->writesLiveReg())
-                dstFile = front.si->dst >= fpRegBase ? 1 : 0;
-            if (robCount >= cfg.robSize) {
-                stallCtr = &_stats.dispatchStallRob;
-            } else if (ctrl != nullptr &&
-                       robCount >= ctrl->robLimit()) {
-                stallCtr = &_stats.dispatchStallLimit;
-                stalledByLimit = true;
-            } else if (needsIq && iq.regionFull()) {
-                stallCtr = &_stats.dispatchStallIqFull;
-            } else if (needsIq && ctrl != nullptr &&
-                       iq.validCount() >= ctrl->iqLimit()) {
-                stallCtr = &_stats.dispatchStallLimit;
-                stalledByLimit = true;
-            } else if (front.si->tagHint != 0 && !front.hintApplied) {
-                return; // would apply the tag hint (an action)
-            } else if (needsIq && iq.rangeBlocked()) {
-                stallCtr = &_stats.dispatchStallRange;
-            } else if ((t.isLoad || t.isStore) && lsq.full()) {
-                stallCtr = &_stats.dispatchStallLsq;
-            } else if (dstFile == 0 && !intRegs.hasFree()) {
-                stallCtr = &_stats.dispatchStallRegs;
-            } else if (dstFile == 1 && !fpRegs.hasFree()) {
-                stallCtr = &_stats.dispatchStallRegs;
-            } else {
-                return; // would dispatch
-            }
-        }
-    }
-
-    // fetch: blocked states clear via completion events (bounded
-    // above) or via the resume/icache timers
-    if (!fetchDone && !fetchBlocked && fqCount < cfg.fetchQueueSize &&
-        !_exec.halted()) {
-        const std::uint64_t resume =
-            std::max(fetchResumeCycle, icacheReadyCycle);
-        if (resume <= now)
-            return; // would fetch
-        next = std::min(next, resume);
-    }
-    // wrong-path fetch: fetchBlocked gates only the correct path; a
-    // gated (wpStalled) front end unblocks via the branch's
-    // completion event, already bounded above
-    if (wpActive && !wpStalled && fqCount < cfg.fetchQueueSize) {
-        const std::uint64_t resume =
-            std::max(fetchResumeCycle, icacheReadyCycle);
-        if (resume <= now)
-            return; // would fetch down the predicted path
-        next = std::min(next, resume);
-    }
-
-    // a controller's limits may change at its next decision point,
-    // unblocking dispatch: never jump past it
-    if (ctrl != nullptr) {
-        next = std::min<std::uint64_t>(next,
-                                       now + ctrl->decisionHorizon());
-    }
-    if (next == noBound || next <= now)
-        return;
-
-    // every cycle in [now, next) is provably dead: accumulate what
-    // the per-cycle bookkeeping would have, in one step each
-    const std::uint64_t delta = next - now;
-    _stats.cycles += delta;
-    if (stallCtr != nullptr)
-        *stallCtr += delta;
-    iq.tickStatsN(delta);
-    _stats.rfIntLiveSum +=
-        delta * static_cast<std::uint64_t>(intRegs.liveRegs());
-    _stats.rfIntPoweredBankCycles +=
-        delta * static_cast<std::uint64_t>(intRegs.poweredBanks());
-    _stats.rfIntBankCycles +=
-        delta * static_cast<std::uint64_t>(intRegs.numBanks());
-    _stats.rfFpLiveSum +=
-        delta * static_cast<std::uint64_t>(fpRegs.liveRegs());
-    _stats.rfFpPoweredBankCycles +=
-        delta * static_cast<std::uint64_t>(fpRegs.poweredBanks());
-    _stats.rfFpBankCycles +=
-        delta * static_cast<std::uint64_t>(fpRegs.numBanks());
-    if (ctrl != nullptr) {
-        // the observations an idle cycle delivers are constant, so
-        // the controller sees exactly the sequence it would have
-        ResizeSignals s;
-        s.iqValid = iq.validCount();
-        s.iqRegionLen = iq.regionSize();
-        s.robCount = robCount;
-        s.dispatchStalledByLimit = stalledByLimit;
-        for (std::uint64_t u = now; u < next; u++) {
-            s.cycle = u;
-            ctrl->tick(s);
-        }
-    }
-    now = next;
-}
-
 std::uint64_t
 Core::run(std::uint64_t maxInsts)
 {
@@ -1032,23 +869,7 @@ Core::run(std::uint64_t maxInsts)
     std::uint64_t lastCommitted = start;
     std::uint64_t lastProgress = now;
     while (!coreHalted && _stats.committed - start < maxInsts) {
-        const std::uint64_t act0 =
-            _stats.committed + _stats.fetched + _stats.dispatched +
-            _stats.issued + _stats.hintsApplied +
-            _stats.wrongPathFetched + _stats.wrongPathDispatched +
-            _stats.wrongPathIssued;
         tick();
-        const std::uint64_t act1 =
-            _stats.committed + _stats.fetched + _stats.dispatched +
-            _stats.issued + _stats.hintsApplied +
-            _stats.wrongPathFetched + _stats.wrongPathDispatched +
-            _stats.wrongPathIssued;
-        // a tick that did nothing usually starts a dead stretch
-        // (cache miss, drain, decode bubble): prove it and jump it.
-        // The gate is only a heuristic — maybeFastForward re-checks
-        // everything against the current state.
-        if (act1 == act0 && wbScratch.empty())
-            maybeFastForward();
         if (_stats.committed != lastCommitted) {
             lastCommitted = _stats.committed;
             lastProgress = now;

@@ -216,9 +216,7 @@ struct RobCold
  * mid-writeback: events of the same cycle popped before the squash
  * ran are re-checked against the bumped generations. The oracle front
  * end never bumps a generation, making the mechanism byte-invisible
- * there. nextDue() may report a stale event's cycle; the idle
- * fast-forward then wakes to a cycle where nothing happens, which is
- * safe (it re-proves idleness and jumps again).
+ * there.
  */
 class CompletionWheel
 {
@@ -231,7 +229,6 @@ class CompletionWheel
     schedule(std::uint64_t cycle, int robIdx, std::uint32_t gen)
     {
         slots[cycle & mask].push_back({cycle, robIdx, gen});
-        inFlight++;
     }
 
     /** A due event: the ROB index plus the generation it was
@@ -249,17 +246,6 @@ class CompletionWheel
 
     int numSlots() const { return static_cast<int>(slots.size()); }
 
-    bool empty() const { return inFlight == 0; }
-
-    /**
-     * Earliest due cycle of any in-flight event (all are >= @p now:
-     * events are scheduled in the future and popped exactly on their
-     * cycle). Returns ~0 when the wheel is empty. O(slots + events);
-     * only called by the idle fast-forward, never on the per-cycle
-     * path.
-     */
-    std::uint64_t nextDue(std::uint64_t now) const;
-
   private:
     struct Event
     {
@@ -270,7 +256,6 @@ class CompletionWheel
 
     std::vector<std::vector<Event>> slots;
     std::uint64_t mask = 0;
-    std::uint64_t inFlight = 0;
 };
 
 /// @name RobHot flag bits.
@@ -373,19 +358,6 @@ class Core
     void issueStage();
     void dispatchStage();
     void fetchStage();
-
-    /**
-     * Idle fast-forward (DESIGN.md §12): when no stage can act at the
-     * current cycle, jump straight to the earliest cycle at which one
-     * can — batching the per-cycle statistics and the one dispatch
-     * stall counter the skipped cycles would have accumulated, and
-     * ticking the resize controller through them — instead of
-     * walking every stage through each dead cycle. Every
-     * architectural counter stays byte-identical to the
-     * cycle-by-cycle run (tests/test_determinism_pin.cc). No-op
-     * unless idleness is structurally proven.
-     */
-    void maybeFastForward();
 
     /** Branch prediction and BTB/RAS training for a fetched
      *  correct-path instruction whose resolved successor is

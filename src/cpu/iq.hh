@@ -153,20 +153,6 @@ class IssueQueue
     /** Per-cycle stats accumulation (call once per cycle). */
     void tickStats();
 
-    /** @p n idle cycles' worth of tickStats() in one step — the
-     *  queue state is unchanged across them, so the sums are exact
-     *  (core idle fast-forward, DESIGN.md §12). */
-    void
-    tickStatsN(std::uint64_t n)
-    {
-        events.cycles += n;
-        events.occupancySum += n * static_cast<std::uint64_t>(count);
-        events.poweredBankCycles +=
-            n * static_cast<std::uint64_t>(poweredBankCount);
-        events.totalBankCycles +=
-            n * static_cast<std::uint64_t>(nbanks);
-    }
-
     IqEventCounts events; ///< exposed for the power model
 
   private:

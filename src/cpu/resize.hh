@@ -43,17 +43,6 @@ class IqLimitController
 
     /** Max ROB occupancy dispatch may maintain. */
     virtual int robLimit() const = 0;
-
-    /**
-     * Cycles until iqLimit()/robLimit() may next change. The core's
-     * idle fast-forward (DESIGN.md §12) batches provably-dead cycles;
-     * with a controller attached it never jumps further than this, so
-     * a limit change always takes effect on exactly the cycle it
-     * would in a cycle-by-cycle run. Interval-based resizers return
-     * the distance to their interval boundary; the default of 1
-     * (limits may move any cycle) keeps any other controller exact.
-     */
-    virtual std::uint64_t decisionHorizon() const { return 1; }
 };
 
 } // namespace siq

@@ -756,6 +756,8 @@ specFromJson(const json::Value &root)
     for (const auto &t : root.at("techniques").array)
         spec.techniques.push_back(t.asString());
     spec.jobs = root.at("jobs").asInt();
+    if (spec.jobs < 0)
+        fatal("spec JSON: jobs must be >= 0, got ", spec.jobs);
     spec.seeds = root.at("seeds").asInt();
     if (spec.seeds < 0)
         fatal("spec JSON: seeds must be >= 0, got ", spec.seeds);

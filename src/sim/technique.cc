@@ -52,18 +52,15 @@ tagInterprocScheme(const RunConfig &cfg)
 std::unique_ptr<IqLimitController>
 abellaResizer(const RunConfig &cfg)
 {
-    AbellaConfig ac = cfg.abella;
-    ac.iqSize = cfg.core.iq.numEntries;
-    ac.robSize = cfg.core.robSize;
-    return std::make_unique<AbellaResizer>(ac);
+    return std::make_unique<AbellaResizer>(
+        cfg.abella, cfg.core.iq.numEntries, cfg.core.robSize);
 }
 
 std::unique_ptr<IqLimitController>
 folegnaniResizer(const RunConfig &cfg)
 {
-    FolegnaniConfig fc = cfg.folegnani;
-    fc.iqSize = cfg.core.iq.numEntries;
-    return std::make_unique<FolegnaniResizer>(fc);
+    return std::make_unique<FolegnaniResizer>(cfg.folegnani,
+                                              cfg.core.iq.numEntries);
 }
 
 /** The table, built on first use (safe from static initializers). */

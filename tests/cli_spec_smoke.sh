@@ -110,6 +110,7 @@ base.workload.scale --scale 99999999999
 base.workload.scale --scale -2
 base.workload.repDivisor --rep-divisor 0
 seeds --seeds -3
+jobs --jobs -3
 EOF
 
 echo "cli_spec_smoke: OK"

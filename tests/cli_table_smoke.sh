@@ -47,6 +47,11 @@ done
 "$SIQSIM" table mispredict paper paper-speculative > mispredict.txt
 expect_table mispredict.txt "^==== Mispredict recovery" "$nworkloads" \
     "$paper_workloads"
+if grep -q 'front end:$' mispredict.txt; then
+    echo "table mispredict: bare label line with nothing under it:" >&2
+    grep 'front end:$' mispredict.txt >&2
+    exit 1
+fi
 "$SIQSIM" table table1 > table1.txt
 expect_table table1.txt "^==== Table 1:" 0 ""
 "$SIQSIM" table compare paper > compare.txt
@@ -97,5 +102,7 @@ fails minHint "$SIQSIM" table A1 ablation ablation-banks-4
 fails core.robsize "$SIQSIM" spec --set core.robsize=256
 fails core.robSize "$SIQSIM" spec --set core.robSize=true
 fails base.core.robSize "$SIQSIM" spec --set core.robSize=0
+# the resizers take their sizes from core: no spec field of their own
+fails folegnani.iqSize "$SIQSIM" spec --set folegnani.iqSize=40
 
 echo "cli_table_smoke: OK"

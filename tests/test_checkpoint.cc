@@ -612,7 +612,8 @@ const char *const oldSweepExport =
 
 /** `siqsim spec --workloads gzip,phased:period=60000 --techniques all
  *  --warmup 2000 --measure 10000 --rep-divisor 40`, as written before
- *  the config schema moved to field lists (sim/fields.hh). */
+ *  the config schema moved to field lists (sim/fields.hh), less the
+ *  resizers' machine sizes (see OldSpecs below). */
 const char *const oldOracleSpec =
     "{\"benchmarks\":[{\"family\":\"gzip\"},{\"family\":\"phased\",\"params"
     "\":{\"period\":60000}}],\"techniques\":[\"baseline\",\"noop\",\"extens"
@@ -631,11 +632,10 @@ const char *const oldOracleSpec =
     "\"l1d\":{\"name\":\"l1d\",\"sizeBytes\":65536,\"assoc\":4,\"lineBytes"
     "\":32,\"hitLatency\":2},\"l2\":{\"name\":\"l2\",\"sizeBytes\":524288,"
     "\"assoc\":8,\"lineBytes\":64,\"hitLatency\":10},\"memLatency\":50}},\""
-    "abella\":{\"iqSize\":80,\"robSize\":128,\"portion\":8,\"minIq\":16,\"r"
-    "obFloor\":64,\"intervalCycles\":16384,\"slackPortions\":1,\"stallFract"
-    "ionToGrow\":0.050000000000000003},\"folegnani\":{\"iqSize\":80,\"porti"
-    "on\":8,\"minSize\":16,\"intervalCycles\":1000,\"contributionThreshold"
-    "\":4,\"expandPeriod\":4}}}\n";
+    "abella\":{\"portion\":8,\"minIq\":16,\"robFloor\":64,\"intervalCycles"
+    "\":16384,\"slackPortions\":1,\"stallFractionToGrow\":0.0500000000000"
+    "00003},\"folegnani\":{\"portion\":8,\"minSize\":16,\"intervalCycles\""
+    ":1000,\"contributionThreshold\":4,\"expandPeriod\":4}}}\n";
 
 /** The same CLI on perlbmk with `--techniques baseline,noop
  *  --speculative`, from the same writer. */
@@ -656,11 +656,11 @@ const char *const oldSpeculativeSpec =
     "32,\"hitLatency\":1},\"l1d\":{\"name\":\"l1d\",\"sizeBytes\":65536,\"a"
     "ssoc\":4,\"lineBytes\":32,\"hitLatency\":2},\"l2\":{\"name\":\"l2\",\""
     "sizeBytes\":524288,\"assoc\":8,\"lineBytes\":64,\"hitLatency\":10},\"m"
-    "emLatency\":50}},\"abella\":{\"iqSize\":80,\"robSize\":128,\"portion\""
-    ":8,\"minIq\":16,\"robFloor\":64,\"intervalCycles\":16384,\"slackPortio"
-    "ns\":1,\"stallFractionToGrow\":0.050000000000000003},\"folegnani\":{\""
-    "iqSize\":80,\"portion\":8,\"minSize\":16,\"intervalCycles\":1000,\"con"
-    "tributionThreshold\":4,\"expandPeriod\":4}}}\n";
+    "emLatency\":50}},\"abella\":{\"portion\":8,\"minIq\":16,\"robFloor\":6"
+    "4,\"intervalCycles\":16384,\"slackPortions\":1,\"stallFractionToGrow"
+    "\":0.050000000000000003},\"folegnani\":{\"portion\":8,\"minSize\":16,"
+    "\"intervalCycles\":1000,\"contributionThreshold\":4,\"expandPeriod\""
+    ":4}}}\n";
 
 /** The tiny grid the old checkpoints and canonical export came from. */
 sim::SweepSpec
@@ -735,6 +735,28 @@ TEST(OldExports, OldSpecsReadBackByteIdentically)
     // by the older writer must still resume
     for (const char *text : {oldOracleSpec, oldSpeculativeSpec}) {
         std::istringstream is(text);
+        EXPECT_EQ(sim::toJson(sim::readSpecJson(is)), text);
+    }
+}
+
+TEST(OldSpecs, ResizerMachineSizesAreReadAndDropped)
+{
+    // specs written while the resizers carried their own copy of the
+    // machine sizes (abella.iqSize/robSize, folegnani.iqSize) still
+    // read, whatever those keys held, to the spec without them: the
+    // resizers take their sizes from core
+    const std::pair<std::string, std::string> oldKeys[] = {
+        {"\"abella\":{", "\"iqSize\":96,\"robSize\":7,"},
+        {"\"folegnani\":{", "\"iqSize\":12,"},
+    };
+    for (const char *text : {oldOracleSpec, oldSpeculativeSpec}) {
+        std::string old = text;
+        for (const auto &[block, keys] : oldKeys) {
+            const auto at = old.find(block);
+            ASSERT_NE(at, std::string::npos) << block;
+            old.insert(at + block.size(), keys);
+        }
+        std::istringstream is(old);
         EXPECT_EQ(sim::toJson(sim::readSpecJson(is)), text);
     }
 }

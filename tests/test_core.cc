@@ -11,6 +11,7 @@
 #include "cpu/core.hh"
 #include "ir/exec.hh"
 #include "workloads/builder.hh"
+#include "workloads/workloads.hh"
 
 namespace siq
 {
@@ -340,7 +341,8 @@ TEST(CompletionWheel, GenerationsRoundTripForConsumerValidation)
     EXPECT_EQ(out[1].gen, 2u);
     EXPECT_EQ(out[2].robIdx, 6);
     EXPECT_EQ(out[2].gen, 7u);
-    EXPECT_TRUE(w.empty());
+    w.popDue(4 + static_cast<std::uint64_t>(w.numSlots()), out);
+    EXPECT_TRUE(out.empty()) << "a popped event must not come back";
 }
 
 TEST(CompletionWheel, LongLatencyConfigStillSimulatesCorrectly)
@@ -351,6 +353,67 @@ TEST(CompletionWheel, LongLatencyConfigStillSimulatesCorrectly)
     CoreConfig cfg;
     cfg.mem.memLatency = 9000;
     expectFunctionalMatch(prog, cfg);
+}
+
+/** A resize controller whose limits are the machine's own IQ and ROB
+ *  sizes, so it never throttles dispatch; it only records how the
+ *  core ticks it. */
+class CountingController : public IqLimitController
+{
+  public:
+    explicit CountingController(const CoreConfig &cfg)
+        : iqSize(cfg.iq.numEntries), robSize(cfg.robSize)
+    {}
+
+    void
+    tick(const ResizeSignals &s) override
+    {
+        if (s.cycle != ticks)
+            skipped++;
+        ticks++;
+    }
+    int iqLimit() const override { return iqSize; }
+    int robLimit() const override { return robSize; }
+
+    std::uint64_t ticks = 0;
+    /** Ticks whose cycle was not the one after the previous tick's
+     *  (the first tick must be cycle 0). */
+    std::uint64_t skipped = 0;
+
+  private:
+    int iqSize;
+    int robSize;
+};
+
+TEST(Core, TicksItsControllerOncePerCycle)
+{
+    // interval resizers and per-cycle accounting rely on seeing every
+    // cycle, idle ones included: mcf and phased stall for long
+    // stretches (cache misses, drains), under both front ends
+    workloads::WorkloadParams params;
+    params.repDivisor = 40;
+    for (const char *family : {"mcf", "phased"}) {
+        const Program prog = workloads::generate(family, params);
+        for (const bool speculative : {false, true}) {
+            SCOPED_TRACE(std::string(family) +
+                         (speculative ? " speculative" : " oracle"));
+            CoreConfig cfg;
+            cfg.specFrontEnd = speculative;
+            CountingController ctrl(cfg);
+            Core core(prog, cfg, &ctrl);
+            core.run(20000);
+            ASSERT_GT(core.stats().cycles, 0u);
+            EXPECT_EQ(ctrl.ticks, core.stats().cycles);
+            EXPECT_EQ(ctrl.skipped, 0u);
+            EXPECT_EQ(core.iqEvents().cycles, core.stats().cycles);
+
+            Core plain(prog, cfg);
+            plain.run(20000);
+            EXPECT_EQ(core.stats(), plain.stats())
+                << "a controller at the machine's sizes must not "
+                   "throttle";
+        }
+    }
 }
 
 // ------------------------------------------------------------------

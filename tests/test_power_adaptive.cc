@@ -96,26 +96,30 @@ idleCycle(std::uint64_t cycle, int occupancy)
     return s;
 }
 
+/** The Table 1 machine the resizers are sized from. */
+constexpr int iqSize = 80;
+constexpr int robSize = 128;
+
 TEST(Abella, ShrinksOnLowAverageOccupancy)
 {
     AbellaConfig cfg;
-    AbellaResizer resizer(cfg);
-    EXPECT_EQ(resizer.iqLimit(), cfg.iqSize);
+    AbellaResizer resizer(cfg, iqSize, robSize);
+    EXPECT_EQ(resizer.iqLimit(), iqSize);
     for (std::uint64_t c = 0; c < cfg.intervalCycles + 1; c++)
         resizer.tick(idleCycle(c, 10));
-    EXPECT_LT(resizer.iqLimit(), cfg.iqSize);
+    EXPECT_LT(resizer.iqLimit(), iqSize);
     EXPECT_GE(resizer.iqLimit(), cfg.minIq);
 }
 
 TEST(Abella, GrowsUnderLimitPressure)
 {
     AbellaConfig cfg;
-    AbellaResizer resizer(cfg);
+    AbellaResizer resizer(cfg, iqSize, robSize);
     // shrink twice
     for (std::uint64_t c = 0; c < 2 * cfg.intervalCycles + 2; c++)
         resizer.tick(idleCycle(c, 4));
     const int shrunk = resizer.iqLimit();
-    ASSERT_LT(shrunk, cfg.iqSize);
+    ASSERT_LT(shrunk, iqSize);
     // now saturate with limit-induced stalls
     for (std::uint64_t c = 0; c < cfg.intervalCycles + 1; c++) {
         auto s = idleCycle(c, shrunk);
@@ -128,7 +132,7 @@ TEST(Abella, GrowsUnderLimitPressure)
 TEST(Abella, RobLimitHasFloor64)
 {
     AbellaConfig cfg;
-    AbellaResizer resizer(cfg);
+    AbellaResizer resizer(cfg, iqSize, robSize);
     // shrink to the minimum
     for (int interval = 0; interval < 20; interval++)
         for (std::uint64_t c = 0; c < cfg.intervalCycles + 1; c++)
@@ -141,16 +145,16 @@ TEST(Abella, RobLimitHasFloor64)
 TEST(Folegnani, ShrinksWhenYoungestPortionIdle)
 {
     FolegnaniConfig cfg;
-    FolegnaniResizer resizer(cfg);
+    FolegnaniResizer resizer(cfg, iqSize);
     for (std::uint64_t c = 0; c < cfg.intervalCycles + 1; c++)
         resizer.tick(idleCycle(c, 40));
-    EXPECT_EQ(resizer.iqLimit(), cfg.iqSize - cfg.portion);
+    EXPECT_EQ(resizer.iqLimit(), iqSize - cfg.portion);
 }
 
 TEST(Folegnani, PeriodicallyReexpands)
 {
     FolegnaniConfig cfg;
-    FolegnaniResizer resizer(cfg);
+    FolegnaniResizer resizer(cfg, iqSize);
     // several idle intervals shrink it; expansion fires every
     // expandPeriod intervals so the limit saw-tooths above minSize
     for (int interval = 0; interval < 40; interval++)

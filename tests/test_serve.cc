@@ -247,6 +247,7 @@ TEST(Serve, InvalidConfigsGetErrorRecordsNamingTheField)
          "base.workload.repDivisor"},
         {bigScale, "base.workload.scale"},
         {with([](auto &s) { s.seeds = -3; }), "seeds"},
+        {with([](auto &s) { s.jobs = -3; }), "jobs"},
     };
 
     sim::ServeEngine engine({});

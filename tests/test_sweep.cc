@@ -127,6 +127,21 @@ TEST(TechniqueTable, CompilerMirrorsTheMachine)
     }
 }
 
+TEST(TechniqueTable, ResizersTakeTheirSizesFromTheCore)
+{
+    // the resizers start at, and never grow past, the machine's IQ and
+    // ROB: changing either changes the limits they hand the core
+    sim::RunConfig cfg;
+    cfg.core.iq.numEntries = 40;
+    cfg.core.robSize = 96;
+    const auto abella = sim::findTechnique("abella")->controller(cfg);
+    EXPECT_EQ(abella->iqLimit(), 40);
+    EXPECT_EQ(abella->robLimit(), 96);
+    const auto folegnani =
+        sim::findTechnique("folegnani")->controller(cfg);
+    EXPECT_EQ(folegnani->iqLimit(), 40);
+}
+
 TEST(ExperimentRunner, ThreadedIsBitIdenticalToSerial)
 {
     auto spec = smallSpec();
