@@ -5,9 +5,9 @@
 namespace siq
 {
 
-AbellaResizer::AbellaResizer(const AbellaConfig &config, int iqSize_,
-                             int robSize_)
-    : cfg(config), iqSize(iqSize_), robSize(robSize_), limit(iqSize_)
+AbellaResizer::AbellaResizer(const AbellaConfig &config,
+                             const IqConfig &iq_, int robSize_)
+    : cfg(config), iq(iq_), robSize(robSize_), limit(iq_.numEntries)
 {}
 
 int
@@ -15,7 +15,7 @@ AbellaResizer::robLimit() const
 {
     // the ROB limit scales with the IQ limit but never drops below
     // the 64-entry floor that names the IqRob64 configuration
-    const int scaled = limit * robSize / iqSize;
+    const int scaled = limit * robSize / iq.numEntries;
     return std::max(cfg.robFloor, scaled);
 }
 
@@ -36,15 +36,14 @@ AbellaResizer::tick(const ResizeSignals &signals)
 
     if (stallFrac > cfg.stallFractionToGrow) {
         // the limit is hurting: back off
-        limit = std::min(iqSize, limit + cfg.portion);
-    } else if (avgOccupancy <=
-               limit - cfg.slackPortions * cfg.portion) {
-        // on average a whole portion sat unused: shrink toward the
-        // average plus one portion of headroom (bursts above the
+        limit = std::min(iq.numEntries, limit + iq.bankSize);
+    } else if (avgOccupancy <= limit - cfg.slackPortions * iq.bankSize) {
+        // on average a whole bank sat unused: shrink toward the
+        // average plus one bank of headroom (bursts above the
         // average pay the adaptation-lag price)
-        const int target = avgOccupancy + cfg.portion;
+        const int target = avgOccupancy + iq.bankSize;
         limit = std::max(cfg.minIq,
-                         std::max(target, limit - 2 * cfg.portion));
+                         std::max(target, limit - 2 * iq.bankSize));
     }
 
     cycleInInterval = 0;

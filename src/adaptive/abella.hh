@@ -21,21 +21,22 @@
 
 #include <cstdint>
 
+#include "cpu/iq.hh"
 #include "cpu/resize.hh"
 
 namespace siq
 {
 
-/** Tuning knobs for the Abella&González-style resizer. */
+/** Tuning knobs for the Abella&González-style resizer; the IQ
+ *  resizes one bank (IqConfig::bankSize) at a time. */
 struct AbellaConfig
 {
-    int portion = 8;      ///< IQ resize granularity
     int minIq = 16;
     int robFloor = 64;    ///< the "64" in IqRob64
     std::uint64_t intervalCycles = 16384;
     /**
      * Shrink when the interval's average occupancy leaves at least
-     * one spare portion under the current limit. Averages react
+     * this many spare banks under the current limit. Averages react
      * slowly to phase changes — the "inevitable delay in sensing"
      * the paper holds against hardware-only adaptation.
      */
@@ -48,9 +49,11 @@ struct AbellaConfig
 class AbellaResizer : public IqLimitController
 {
   public:
-    /** @p iqSize and @p robSize are the machine's (CoreConfig): the
-     *  limits start there and never grow past them. */
-    AbellaResizer(const AbellaConfig &config, int iqSize, int robSize);
+    /** @p iq and @p robSize are the machine's (CoreConfig): the
+     *  limits start at its sizes and never grow past them, and the
+     *  IQ limit moves in steps of its bank. */
+    AbellaResizer(const AbellaConfig &config, const IqConfig &iq,
+                  int robSize);
 
     void tick(const ResizeSignals &signals) override;
     int iqLimit() const override { return limit; }
@@ -58,7 +61,7 @@ class AbellaResizer : public IqLimitController
 
   private:
     AbellaConfig cfg;
-    int iqSize;
+    IqConfig iq;
     int robSize;
     int limit;
     std::uint64_t cycleInInterval = 0;

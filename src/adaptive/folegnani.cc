@@ -6,8 +6,8 @@ namespace siq
 {
 
 FolegnaniResizer::FolegnaniResizer(const FolegnaniConfig &config,
-                                   int iqSize_)
-    : cfg(config), iqSize(iqSize_), limit(iqSize_)
+                                   const IqConfig &iq_)
+    : cfg(config), iq(iq_), limit(iq_.numEntries)
 {}
 
 void
@@ -19,10 +19,10 @@ FolegnaniResizer::tick(const ResizeSignals &signals)
         return;
 
     if (youngIssues <= cfg.contributionThreshold) {
-        limit = std::max(cfg.minSize, limit - cfg.portion);
+        limit = std::max(cfg.minSize, limit - iq.bankSize);
     }
     if (++intervalsSinceExpand >= cfg.expandPeriod) {
-        limit = std::min(iqSize, limit + cfg.portion);
+        limit = std::min(iq.numEntries, limit + iq.bankSize);
         intervalsSinceExpand = 0;
     }
     cycleInInterval = 0;

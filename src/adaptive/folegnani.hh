@@ -17,15 +17,16 @@
 
 #include <cstdint>
 
+#include "cpu/iq.hh"
 #include "cpu/resize.hh"
 
 namespace siq
 {
 
-/** Tuning knobs for the Folegnani&González resizer. */
+/** Tuning knobs for the Folegnani&González resizer; the portion is
+ *  one bank (IqConfig::bankSize). */
 struct FolegnaniConfig
 {
-    int portion = 8;          ///< resize granularity (one bank)
     int minSize = 16;
     std::uint64_t intervalCycles = 1000;
     /** Shrink when youngest-portion issues fall at/below this. */
@@ -38,9 +39,9 @@ struct FolegnaniConfig
 class FolegnaniResizer : public IqLimitController
 {
   public:
-    /** @p iqSize is the machine's (CoreConfig): the limit starts
-     *  there and never grows past it. */
-    FolegnaniResizer(const FolegnaniConfig &config, int iqSize);
+    /** @p iq is the machine's (CoreConfig): the limit starts at its
+     *  size, never grows past it and moves in steps of its bank. */
+    FolegnaniResizer(const FolegnaniConfig &config, const IqConfig &iq);
 
     void tick(const ResizeSignals &signals) override;
     int iqLimit() const override { return limit; }
@@ -48,7 +49,7 @@ class FolegnaniResizer : public IqLimitController
 
   private:
     FolegnaniConfig cfg;
-    int iqSize;
+    IqConfig iq;
     int limit;
     std::uint64_t cycleInInterval = 0;
     std::uint64_t youngIssues = 0;

@@ -25,6 +25,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -82,7 +83,7 @@ spec options (grid axes and config fields; all optional):
                                range-checked like a spec file's
   --warmup N / --measure N     per-cell instruction budgets
                                (warmupInsts / measureInsts)
-  --seeds N                    replicas per cell (0 = SIQSIM_SEEDS, 1 = off)
+  --seeds N                    replicas per cell (1 = off)
   --jobs N                     worker threads (0 = cores)
   --scale N / --rep-divisor N  workload size knobs (workload.scale /
                                workload.repDivisor)
@@ -690,8 +691,13 @@ cmdServe(Args args)
     auto opts = sim::ServeEngine::optionsFromEnv();
     if (!opts)
         fatal(opts.error());
-    if (jobs)
-        opts.value().jobs = static_cast<int>(toLong("jobs", *jobs));
+    if (jobs) {
+        const long n = toLong("jobs", *jobs);
+        if (n < 0 || n > std::numeric_limits<int>::max())
+            fatal("siqsim serve: --jobs must be in [0, ",
+                  std::numeric_limits<int>::max(), "], got ", n);
+        opts.value().jobs = static_cast<int>(n);
+    }
 
     sim::ServeEngine engine(opts.value());
     if (stdio) {

@@ -345,7 +345,6 @@ Core::issueStage()
         if (regionAtStart - 1 - cand.distFromHead < cfg.iq.bankSize)
             signals.issuedFromYoungestBank++;
     }
-    signals.issuedTotal = issued;
 }
 
 void
@@ -855,8 +854,6 @@ Core::tick()
 
     if (ctrl != nullptr) {
         signals.iqValid = iq.validCount();
-        signals.iqRegionLen = iq.regionSize();
-        signals.robCount = robCount;
         ctrl->tick(signals);
     }
     now++;

@@ -38,7 +38,6 @@ IssueQueue::IssueQueue(const IqConfig &config) : cfg(config)
     nbanks = cfg.numEntries / cfg.bankSize;
     slots.assign(static_cast<std::size_t>(cfg.numEntries), {});
     bankValid.assign(static_cast<std::size_t>(nbanks), 0);
-    bankPending.assign(static_cast<std::size_t>(nbanks), 0);
     // handles are file*256 + phys with phys < 256 (regHandleStride
     // in cpu/core.hh; the Core constructor asserts the invariant)
     waiters.assign(512, {});
@@ -75,7 +74,6 @@ IssueQueue::dispatch(int robIdx, int psrc1, bool ready1, int psrc2,
     }
     if (bankValid[bank]++ == 0)
         poweredBankCount++;
-    bankPending[bank] += pending;
     pendingOps += pending;
     tail = next(tail);
     count++;
@@ -138,7 +136,6 @@ IssueQueue::wakeup(int ptag)
                 continue;
             e.ready2 = true;
         }
-        bankPending[slot / cfg.bankSize]--;
         pendingOps--;
         if (!wasReady && e.ready1 && e.ready2)
             readyInsert(slot);
@@ -163,7 +160,6 @@ IssueQueue::markIssued(int slot)
     // entries normally issue ready, but direct markIssued calls (and
     // any future squash path) may retire pending operands
     const int pending = (e.ready1 ? 0 : 1) + (e.ready2 ? 0 : 1);
-    bankPending[bank] -= pending;
     pendingOps -= pending;
     if (pending == 0)
         readyRemove(slot); // only ready entries are in the set
@@ -201,7 +197,6 @@ IssueQueue::squashTail(int n)
             continue; // already issued before the squash
         const int bank = slot / cfg.bankSize;
         const int pending = (e.ready1 ? 0 : 1) + (e.ready2 ? 0 : 1);
-        bankPending[bank] -= pending;
         pendingOps -= pending;
         if (pending == 0)
             readyRemove(slot); // only ready entries are in the set

@@ -191,11 +191,7 @@ class IssueQueue
     int nbanks;
     std::vector<Entry> slots;
     std::vector<int> bankValid; ///< valid entries per bank
-    /** Non-ready operands of valid entries, per bank; lets wakeup
-     *  skip banks with nothing to match and collectReady/wakeup
-     *  early-out, without changing any event count. */
-    std::vector<int> bankPending;
-    int pendingOps = 0; ///< total non-ready operands (= sum of above)
+    int pendingOps = 0; ///< non-ready operands of valid entries
     int poweredBankCount = 0; ///< banks with bankValid > 0
     /** Slots of valid entries with both operands ready, sorted by
      *  region position (oldest first). Region-relative order of live

@@ -91,12 +91,11 @@
     X(mem)
 
 #define SIQ_ABELLA_CONFIG_FIELDS(X)                                      \
-    X(portion) X(minIq) X(robFloor) X(intervalCycles) X(slackPortions)   \
+    X(minIq) X(robFloor) X(intervalCycles) X(slackPortions)              \
     X(stallFractionToGrow)
 
 #define SIQ_FOLEGNANI_CONFIG_FIELDS(X)                                   \
-    X(portion) X(minSize) X(intervalCycles) X(contributionThreshold)     \
-    X(expandPeriod)
+    X(minSize) X(intervalCycles) X(contributionThreshold) X(expandPeriod)
 
 #define SIQ_RUN_CONFIG_FIELDS(X)                                         \
     X(workload) X(warmupInsts) X(measureInsts) X(minHint)                \

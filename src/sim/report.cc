@@ -701,6 +701,11 @@ validate(const RunConfig &cfg)
                 cfg.unrollFactor <= compiler::maxLoopCopies,
             "", "unrollFactor", "must be in [1, ",
             compiler::maxLoopCopies, "], got ", cfg.unrollFactor);
+    // abella divides its occupancy sum by the interval; a folegnani
+    // floor of 0 lets the limit close the queue and stall commit
+    requirePositive(cfg.abella.intervalCycles, "abella",
+                    ".intervalCycles");
+    requirePositive(cfg.folegnani.minSize, "folegnani", ".minSize");
 }
 
 namespace
@@ -761,6 +766,9 @@ specFromJson(const json::Value &root)
     spec.seeds = root.at("seeds").asInt();
     if (spec.seeds < 0)
         fatal("spec JSON: seeds must be >= 0, got ", spec.seeds);
+    if (spec.seeds == 0)
+        spec.seeds = 1; // legacy: 0 meant SIQSIM_SEEDS, which is gone
+                        // and defaulted to 1
     readValue(root.at("base"), spec.base, FieldPath{nullptr, "base"});
     validate(spec.base);
     for (const auto &t : spec.techniques) {

@@ -217,7 +217,7 @@ struct Request
     };
 
     std::string id;
-    SweepSpec spec; ///< canonical benchmarks, resolved seeds
+    SweepSpec spec; ///< canonical benchmarks
     std::shared_ptr<ServeEngine::Client::State> client;
 
     std::atomic<bool> cancelled{false};
@@ -264,7 +264,6 @@ struct ServeEngine::Impl
 
     const Options opts;
     ExperimentRunner runner;
-    int defaultSeeds = 1; ///< resolved SIQSIM_SEEDS, set at startup
 
     /** guards `inflight` + the completed-cell LRU + every Flight's
      *  waiter list */
@@ -367,8 +366,8 @@ struct ServeEngine::Impl
     // ------------------------------------------------- dedupe store
 
     /** The canonical identity of one cell: the spec JSON of its own
-     *  1×1 sub-grid, jobs forced to 0, seeds resolved. Two requests
-     *  agree on this string iff the cell is the same simulation. */
+     *  1×1 sub-grid, jobs forced to 0. Two requests agree on this
+     *  string iff the cell is the same simulation. */
     static std::string
     cellIdentity(const SweepSpec &spec, std::size_t cellIdx)
     {
@@ -766,9 +765,6 @@ struct ServeEngine::Impl
                       "spec has an empty benchmark or technique axis");
             return;
         }
-        if (s.seeds == 0)
-            s.seeds = defaultSeeds; // pin the resolved replica count
-                                    // into the cell identity
 
         auto req = std::make_shared<Request>();
         req->id = id.value();
@@ -858,18 +854,12 @@ ServeEngine::optionsFromEnv()
         return Result<Options>::error(fanout.error());
     opts.fanoutWaitMs = fanout.value();
 
-    // the runner reads this lazily mid-request; surface a malformed
-    // environment at startup instead
-    if (auto seeds = trySeedsFromEnv(); !seeds)
-        return Result<Options>::error(seeds.error());
-
     return Result<Options>::ok(opts);
 }
 
 ServeEngine::ServeEngine(const Options &opts)
     : impl(std::make_shared<Impl>(opts))
 {
-    impl->defaultSeeds = trySeedsFromEnv().orFatal();
 }
 
 ServeEngine::~ServeEngine() = default;

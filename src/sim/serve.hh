@@ -32,10 +32,10 @@
  * export, byte-identical to `siqsim run --json` of the same spec.
  *
  * Cross-request dedupe: every cell has a canonical identity — the
- * spec JSON of its own 1×1 sub-grid with jobs forced to 0 and seeds
- * resolved — and the engine keeps (a) an in-flight table mapping
- * identities to the request currently simulating them and (b) a
- * bounded LRU of completed cell payloads. A request whose cell is
+ * spec JSON of its own 1×1 sub-grid with jobs forced to 0 — and
+ * the engine keeps (a) an in-flight table mapping identities to the
+ * request currently simulating them and (b) a bounded LRU of
+ * completed cell payloads. A request whose cell is
  * already in flight attaches as a waiter and receives the fan-out of
  * the one simulation; a cell in the completed cache is answered
  * immediately without simulating. Counters in the done record prove
@@ -103,8 +103,7 @@ class ServeEngine
      *  SIQSIM_SERVE_RESULT_CACHE / SIQSIM_SERVE_FANOUT_MS
      *  (validated up front — a daemon
      *  should refuse a malformed environment at startup, not die on
-     *  request one). Also validates the engine-level knob the
-     *  runner reads lazily (SIQSIM_SEEDS). */
+     *  request one). */
     static Result<Options> optionsFromEnv();
 
     explicit ServeEngine(const Options &opts);

@@ -1,11 +1,8 @@
 #include "sim/sweep.hh"
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
-#include <limits>
 #include <future>
 #include <mutex>
 #include <sstream>
@@ -122,12 +119,6 @@ class ProgramCache
         map;
 };
 
-int
-seedsFromEnv()
-{
-    return trySeedsFromEnv().orFatal();
-}
-
 MetricAggregate
 summarize(const stats::RunningStats &w)
 {
@@ -168,23 +159,6 @@ aggregateReplicas(const RunResult *reps, std::size_t n)
 }
 
 } // namespace
-
-Result<int>
-trySeedsFromEnv()
-{
-    const char *v = std::getenv("SIQSIM_SEEDS");
-    if (v == nullptr)
-        return Result<int>::ok(1);
-    char *end = nullptr;
-    errno = 0;
-    const long n = std::strtol(v, &end, 10);
-    if (end == v || *end != '\0' || errno == ERANGE || n < 1 ||
-        n > std::numeric_limits<int>::max())
-        return Result<int>::error(
-            "SIQSIM_SEEDS must be a positive integer, got '" +
-            std::string(v) + "'");
-    return Result<int>::ok(static_cast<int>(n));
-}
 
 struct ExperimentRunner::Impl
 {
@@ -312,10 +286,9 @@ ExperimentRunner::run(const SweepSpec &spec, const CellHooks &hooks)
     const std::size_t nb = spec.benchmarks.size();
     const std::size_t nt = spec.techniques.size();
     const std::size_t ncells = nb * nt;
-    if (spec.seeds < 0)
-        fatal("SweepSpec::seeds must be >= 0, got ", spec.seeds);
-    const int seeds = spec.seeds > 0 ? spec.seeds : seedsFromEnv();
-    result.seeds = seeds;
+    if (spec.seeds < 1)
+        fatal("SweepSpec::seeds must be >= 1, got ", spec.seeds);
+    result.seeds = spec.seeds;
 
     // the cells this invocation actually executes (all of them for a
     // plain run; a shard / resume passes a filter). The filter is
@@ -329,7 +302,7 @@ ExperimentRunner::run(const SweepSpec &spec, const CellHooks &hooks)
     }
 
     const std::size_t nrun = cellsToRun.size();
-    const std::size_t nreps = static_cast<std::size_t>(seeds);
+    const std::size_t nreps = static_cast<std::size_t>(spec.seeds);
     result.cells.resize(ncells);
     if (nreps > 1)
         result.aggregates.resize(ncells);

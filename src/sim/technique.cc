@@ -52,15 +52,14 @@ tagInterprocScheme(const RunConfig &cfg)
 std::unique_ptr<IqLimitController>
 abellaResizer(const RunConfig &cfg)
 {
-    return std::make_unique<AbellaResizer>(
-        cfg.abella, cfg.core.iq.numEntries, cfg.core.robSize);
+    return std::make_unique<AbellaResizer>(cfg.abella, cfg.core.iq,
+                                           cfg.core.robSize);
 }
 
 std::unique_ptr<IqLimitController>
 folegnaniResizer(const RunConfig &cfg)
 {
-    return std::make_unique<FolegnaniResizer>(cfg.folegnani,
-                                              cfg.core.iq.numEntries);
+    return std::make_unique<FolegnaniResizer>(cfg.folegnani, cfg.core.iq);
 }
 
 /** The table, built on first use (safe from static initializers). */

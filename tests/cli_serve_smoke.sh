@@ -128,4 +128,17 @@ kill "$DAEMON"
 wait "$DAEMON" 2> /dev/null || true
 DAEMON=
 
+# a worker count outside [0, INT_MAX] is refused before serving
+# (exit 1, the flag named); it must not fall back to every core
+for jobs in -3 4294967297; do
+    status=0
+    "$SIQSIM" serve --stdio --jobs "$jobs" < /dev/null > /dev/null \
+        2> jobs.err || status=$?
+    if [ "$status" -ne 1 ] || ! grep -qF -- "--jobs" jobs.err; then
+        echo "serve --jobs $jobs: want exit 1 naming --jobs, got" \
+            "$status: $(cat jobs.err)" >&2
+        exit 1
+    fi
+done
+
 echo "cli_serve_smoke: OK"

@@ -90,7 +90,9 @@ s/"scale":1,/"scale":0,/ base.workload.scale
 s/"scale":1,/"scale":-2,/ base.workload.scale
 s/"scale":1,/"scale":99999999999,/ base.workload.scale
 s/"repDivisor":40/"repDivisor":0/ base.workload.repDivisor
-s/"seeds":0/"seeds":-3/ seeds
+s/"intervalCycles":16384/"intervalCycles":0/ base.abella.intervalCycles
+s/"minSize":16/"minSize":0/ base.folegnani.minSize
+s/"seeds":1/"seeds":-3/ seeds
 EOF
 
 # the same values given as 'siqsim spec' flags fail there, before a

@@ -102,7 +102,10 @@ fails minHint "$SIQSIM" table A1 ablation ablation-banks-4
 fails core.robsize "$SIQSIM" spec --set core.robsize=256
 fails core.robSize "$SIQSIM" spec --set core.robSize=true
 fails base.core.robSize "$SIQSIM" spec --set core.robSize=0
-# the resizers take their sizes from core: no spec field of their own
+# the resizers take their sizes and their step from core: no spec
+# field of their own
 fails folegnani.iqSize "$SIQSIM" spec --set folegnani.iqSize=40
+fails abella.portion "$SIQSIM" spec --set abella.portion=4
+fails folegnani.portion "$SIQSIM" spec --set folegnani.portion=4
 
 echo "cli_table_smoke: OK"

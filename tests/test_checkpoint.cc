@@ -133,7 +133,7 @@ TEST(SpecJson, ExactRoundTrip)
     spec.base.core.mem.l1d.sizeBytes = 32 * 1024;
     spec.base.core.mem.l1d.name = "little-l1d";
     spec.base.core.mem.memLatency = 87;
-    spec.base.abella.portion = 4;
+    spec.base.abella.minIq = 24;
     spec.base.abella.stallFractionToGrow = 0.037;
     spec.base.abella.intervalCycles = 4096;
     spec.base.folegnani.contributionThreshold = 9;
@@ -613,11 +613,12 @@ const char *const oldSweepExport =
 /** `siqsim spec --workloads gzip,phased:period=60000 --techniques all
  *  --warmup 2000 --measure 10000 --rep-divisor 40`, as written before
  *  the config schema moved to field lists (sim/fields.hh), less the
- *  resizers' machine sizes (see OldSpecs below). */
+ *  resizers' machine sizes and bank steps and with seeds 1 (see
+ *  OldSpecs below). */
 const char *const oldOracleSpec =
     "{\"benchmarks\":[{\"family\":\"gzip\"},{\"family\":\"phased\",\"params"
     "\":{\"period\":60000}}],\"techniques\":[\"baseline\",\"noop\",\"extens"
-    "ion\",\"improved\",\"abella\",\"folegnani\"],\"jobs\":0,\"seeds\":0,\n"
+    "ion\",\"improved\",\"abella\",\"folegnani\"],\"jobs\":0,\"seeds\":1,\n"
     "\"base\":{\"workload\":{\"scale\":1,\"repDivisor\":40,\"seed\":12345},"
     "\"warmupInsts\":2000,\"measureInsts\":10000,\"minHint\":4,\"elideRedun"
     "dant\":true,\"unrollFactor\":4,\"core\":{\"fetchWidth\":8,\"dispatchWi"
@@ -632,16 +633,16 @@ const char *const oldOracleSpec =
     "\"l1d\":{\"name\":\"l1d\",\"sizeBytes\":65536,\"assoc\":4,\"lineBytes"
     "\":32,\"hitLatency\":2},\"l2\":{\"name\":\"l2\",\"sizeBytes\":524288,"
     "\"assoc\":8,\"lineBytes\":64,\"hitLatency\":10},\"memLatency\":50}},\""
-    "abella\":{\"portion\":8,\"minIq\":16,\"robFloor\":64,\"intervalCycles"
+    "abella\":{\"minIq\":16,\"robFloor\":64,\"intervalCycles"
     "\":16384,\"slackPortions\":1,\"stallFractionToGrow\":0.0500000000000"
-    "00003},\"folegnani\":{\"portion\":8,\"minSize\":16,\"intervalCycles\""
+    "00003},\"folegnani\":{\"minSize\":16,\"intervalCycles\""
     ":1000,\"contributionThreshold\":4,\"expandPeriod\":4}}}\n";
 
 /** The same CLI on perlbmk with `--techniques baseline,noop
  *  --speculative`, from the same writer. */
 const char *const oldSpeculativeSpec =
     "{\"benchmarks\":[{\"family\":\"perlbmk\"}],\"techniques\":[\"baseline"
-    "\",\"noop\"],\"jobs\":0,\"seeds\":0,\n"
+    "\",\"noop\"],\"jobs\":0,\"seeds\":1,\n"
     "\"base\":{\"workload\":{\"scale\":1,\"repDivisor\":40,\"seed\":12345},"
     "\"warmupInsts\":2000,\"measureInsts\":10000,\"minHint\":4,\"elideRedun"
     "dant\":true,\"unrollFactor\":4,\"core\":{\"fetchWidth\":8,\"dispatchWi"
@@ -656,9 +657,9 @@ const char *const oldSpeculativeSpec =
     "32,\"hitLatency\":1},\"l1d\":{\"name\":\"l1d\",\"sizeBytes\":65536,\"a"
     "ssoc\":4,\"lineBytes\":32,\"hitLatency\":2},\"l2\":{\"name\":\"l2\",\""
     "sizeBytes\":524288,\"assoc\":8,\"lineBytes\":64,\"hitLatency\":10},\"m"
-    "emLatency\":50}},\"abella\":{\"portion\":8,\"minIq\":16,\"robFloor\":6"
+    "emLatency\":50}},\"abella\":{\"minIq\":16,\"robFloor\":6"
     "4,\"intervalCycles\":16384,\"slackPortions\":1,\"stallFractionToGrow"
-    "\":0.050000000000000003},\"folegnani\":{\"portion\":8,\"minSize\":16,"
+    "\":0.050000000000000003},\"folegnani\":{\"minSize\":16,"
     "\"intervalCycles\":1000,\"contributionThreshold\":4,\"expandPeriod\""
     ":4}}}\n";
 
@@ -742,22 +743,39 @@ TEST(OldExports, OldSpecsReadBackByteIdentically)
 TEST(OldSpecs, ResizerMachineSizesAreReadAndDropped)
 {
     // specs written while the resizers carried their own copy of the
-    // machine sizes (abella.iqSize/robSize, folegnani.iqSize) still
-    // read, whatever those keys held, to the spec without them: the
-    // resizers take their sizes from core
-    const std::pair<std::string, std::string> oldKeys[] = {
-        {"\"abella\":{", "\"iqSize\":96,\"robSize\":7,"},
-        {"\"folegnani\":{", "\"iqSize\":12,"},
+    // machine sizes (abella.iqSize/robSize, folegnani.iqSize) and of
+    // the bank (abella.portion, folegnani.portion) still read,
+    // whatever those keys held, to the spec without them: the
+    // resizers take their sizes and step from core. A legacy
+    // "seeds":0 (defer to an environment variable that defaulted to
+    // 1) reads as 1. Each edit is checked alone and on top of the
+    // ones before it.
+    const std::pair<std::string, std::string> edits[] = {
+        {"\"abella\":{", "\"abella\":{\"iqSize\":96,\"robSize\":7,"},
+        {"\"folegnani\":{", "\"folegnani\":{\"iqSize\":12,"},
+        {"\"abella\":{", "\"abella\":{\"portion\":4,"},
+        {"\"folegnani\":{", "\"folegnani\":{\"portion\":16,"},
+        {"\"seeds\":1", "\"seeds\":0"},
+    };
+    const auto apply = [](std::string &text, const std::string &from,
+                          const std::string &to) {
+        const auto pos = text.find(from);
+        ASSERT_NE(pos, std::string::npos) << from;
+        text.replace(pos, from.size(), to);
     };
     for (const char *text : {oldOracleSpec, oldSpeculativeSpec}) {
-        std::string old = text;
-        for (const auto &[block, keys] : oldKeys) {
-            const auto at = old.find(block);
-            ASSERT_NE(at, std::string::npos) << block;
-            old.insert(at + block.size(), keys);
+        std::string all = text;
+        for (const auto &[from, to] : edits) {
+            std::string one = text;
+            apply(one, from, to);
+            apply(all, from, to);
+            for (const std::string &old : {one, all}) {
+                ASSERT_NE(old, text);
+                std::istringstream is(old);
+                EXPECT_EQ(sim::toJson(sim::readSpecJson(is)), text)
+                    << old;
+            }
         }
-        std::istringstream is(old);
-        EXPECT_EQ(sim::toJson(sim::readSpecJson(is)), text);
     }
 }
 

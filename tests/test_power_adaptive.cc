@@ -90,36 +90,35 @@ idleCycle(std::uint64_t cycle, int occupancy)
     ResizeSignals s;
     s.cycle = cycle;
     s.iqValid = occupancy;
-    s.iqRegionLen = occupancy;
-    s.issuedTotal = 2;
     s.issuedFromYoungestBank = 0;
     return s;
 }
 
-/** The Table 1 machine the resizers are sized from. */
-constexpr int iqSize = 80;
+/** The Table 1 machine the resizers are sized from: an 80-entry IQ
+ *  in banks of 8 and a 128-entry ROB. */
+constexpr IqConfig iq{80, 8};
 constexpr int robSize = 128;
 
 TEST(Abella, ShrinksOnLowAverageOccupancy)
 {
     AbellaConfig cfg;
-    AbellaResizer resizer(cfg, iqSize, robSize);
-    EXPECT_EQ(resizer.iqLimit(), iqSize);
+    AbellaResizer resizer(cfg, iq, robSize);
+    EXPECT_EQ(resizer.iqLimit(), iq.numEntries);
     for (std::uint64_t c = 0; c < cfg.intervalCycles + 1; c++)
         resizer.tick(idleCycle(c, 10));
-    EXPECT_LT(resizer.iqLimit(), iqSize);
+    EXPECT_LT(resizer.iqLimit(), iq.numEntries);
     EXPECT_GE(resizer.iqLimit(), cfg.minIq);
 }
 
 TEST(Abella, GrowsUnderLimitPressure)
 {
     AbellaConfig cfg;
-    AbellaResizer resizer(cfg, iqSize, robSize);
+    AbellaResizer resizer(cfg, iq, robSize);
     // shrink twice
     for (std::uint64_t c = 0; c < 2 * cfg.intervalCycles + 2; c++)
         resizer.tick(idleCycle(c, 4));
     const int shrunk = resizer.iqLimit();
-    ASSERT_LT(shrunk, iqSize);
+    ASSERT_LT(shrunk, iq.numEntries);
     // now saturate with limit-induced stalls
     for (std::uint64_t c = 0; c < cfg.intervalCycles + 1; c++) {
         auto s = idleCycle(c, shrunk);
@@ -132,7 +131,7 @@ TEST(Abella, GrowsUnderLimitPressure)
 TEST(Abella, RobLimitHasFloor64)
 {
     AbellaConfig cfg;
-    AbellaResizer resizer(cfg, iqSize, robSize);
+    AbellaResizer resizer(cfg, iq, robSize);
     // shrink to the minimum
     for (int interval = 0; interval < 20; interval++)
         for (std::uint64_t c = 0; c < cfg.intervalCycles + 1; c++)
@@ -145,16 +144,16 @@ TEST(Abella, RobLimitHasFloor64)
 TEST(Folegnani, ShrinksWhenYoungestPortionIdle)
 {
     FolegnaniConfig cfg;
-    FolegnaniResizer resizer(cfg, iqSize);
+    FolegnaniResizer resizer(cfg, iq);
     for (std::uint64_t c = 0; c < cfg.intervalCycles + 1; c++)
         resizer.tick(idleCycle(c, 40));
-    EXPECT_EQ(resizer.iqLimit(), iqSize - cfg.portion);
+    EXPECT_EQ(resizer.iqLimit(), iq.numEntries - iq.bankSize);
 }
 
 TEST(Folegnani, PeriodicallyReexpands)
 {
     FolegnaniConfig cfg;
-    FolegnaniResizer resizer(cfg, iqSize);
+    FolegnaniResizer resizer(cfg, iq);
     // several idle intervals shrink it; expansion fires every
     // expandPeriod intervals so the limit saw-tooths above minSize
     for (int interval = 0; interval < 40; interval++)
@@ -168,7 +167,7 @@ TEST(Folegnani, PeriodicallyReexpands)
         s.issuedFromYoungestBank = 4;
         resizer.tick(s);
     }
-    EXPECT_GE(resizer.iqLimit(), before - cfg.portion);
+    EXPECT_GE(resizer.iqLimit(), before - iq.bankSize);
 }
 
 } // namespace

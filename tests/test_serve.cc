@@ -246,6 +246,8 @@ TEST(Serve, InvalidConfigsGetErrorRecordsNamingTheField)
         {with([](auto &s) { s.base.workload.repDivisor = 0; }),
          "base.workload.repDivisor"},
         {bigScale, "base.workload.scale"},
+        {with([](auto &s) { s.base.abella.intervalCycles = 0; }),
+         "base.abella.intervalCycles"},
         {with([](auto &s) { s.seeds = -3; }), "seeds"},
         {with([](auto &s) { s.jobs = -3; }), "jobs"},
     };

@@ -37,7 +37,6 @@ smallSpec()
     spec.base.workload.repDivisor = 8;
     spec.base.warmupInsts = 5000;
     spec.base.measureInsts = 60000;
-    spec.seeds = 1; // independent of any ambient SIQSIM_SEEDS
     return spec;
 }
 
@@ -140,6 +139,19 @@ TEST(TechniqueTable, ResizersTakeTheirSizesFromTheCore)
     const auto folegnani =
         sim::findTechnique("folegnani")->controller(cfg);
     EXPECT_EQ(folegnani->iqLimit(), 40);
+
+    // and they step by its bank: after one idle interval on 80
+    // entries in banks of 16, folegnani drops one bank and abella two
+    cfg.core.iq = {80, 16};
+    const auto abella16 = sim::findTechnique("abella")->controller(cfg);
+    const auto folegnani16 =
+        sim::findTechnique("folegnani")->controller(cfg);
+    for (std::uint64_t c = 0; c < cfg.abella.intervalCycles; c++)
+        abella16->tick(ResizeSignals{.cycle = c});
+    for (std::uint64_t c = 0; c < cfg.folegnani.intervalCycles; c++)
+        folegnani16->tick(ResizeSignals{.cycle = c});
+    EXPECT_EQ(folegnani16->iqLimit(), 64);
+    EXPECT_EQ(abella16->iqLimit(), 48);
 }
 
 TEST(ExperimentRunner, ThreadedIsBitIdenticalToSerial)
@@ -355,28 +367,37 @@ TEST(Replication, JsonExportByteIdenticalAcrossJobsAtSeeds3)
         << "jobs=1 and jobs=4 must export byte-identical JSON";
 }
 
-TEST(Replication, SeedsZeroDefersToEnvironment)
+TEST(Replication, LegacySeedsZeroRunsOneReplica)
 {
+    // "seeds":0 once deferred to an environment variable; a spec
+    // carrying it now reads as 1 and runs the same grid on every
+    // host, whatever that environment holds
     auto spec = smallSpec();
     spec.benchmarks = {"gzip"};
     spec.techniques = {"baseline"};
     spec.base.workload.repDivisor = 40;
     spec.base.warmupInsts = 2000;
     spec.base.measureInsts = 20000;
-    spec.seeds = 0;
+    std::string text = sim::toJson(spec);
+    const std::string one = "\"seeds\":1";
+    const auto at = text.find(one);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, one.size(), "\"seeds\":0");
+    std::istringstream is(text);
+    const sim::SweepSpec legacy = sim::readSpecJson(is);
+    EXPECT_EQ(legacy.seeds, 1);
 
-    ASSERT_EQ(setenv("SIQSIM_SEEDS", "2", 1), 0);
+    const char *const oldVariable = "SIQSIM_SEEDS";
+    ASSERT_EQ(setenv(oldVariable, "2", 1), 0);
     sim::ExperimentRunner runner;
-    const auto sweep = runner.run(spec);
-    ASSERT_EQ(unsetenv("SIQSIM_SEEDS"), 0);
-    EXPECT_EQ(sweep.seeds, 2);
-    ASSERT_EQ(sweep.aggregates.size(), 1u);
-    EXPECT_EQ(sweep.aggregates[0].n, 2u);
+    const auto sweep = runner.run(legacy);
+    ASSERT_EQ(unsetenv(oldVariable), 0);
+    EXPECT_EQ(sweep.seeds, 1);
+    EXPECT_TRUE(sweep.aggregates.empty());
 
-    sim::ExperimentRunner plain;
-    const auto unset = plain.run(spec);
-    EXPECT_EQ(unset.seeds, 1);
-    EXPECT_TRUE(unset.aggregates.empty());
+    // a hand-built spec has no legacy reading: 0 is refused
+    spec.seeds = 0;
+    EXPECT_THROW(runner.run(spec), FatalError);
 }
 
 /** Every cell of one program shares its copy-on-write memory image
