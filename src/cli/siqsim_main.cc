@@ -137,14 +137,14 @@ serve options (protocol: DESIGN.md §13):
   --stdio                      serve one client over stdin/stdout
                                (tests, inetd-style supervisors)
   --jobs N                     default worker threads per request
-                               (0 = SIQSIM_SERVE_JOBS / cores)
+                               (0 = hardware concurrency)
   requests:  {"id":"r1","spec":{...}}   {"cancel":"r1"}
   responses: accepted / cell / done / error records, one per line;
   workload and compiled-program caches are shared across
   requests, and identical in-flight cells from concurrent clients
   are simulated once. Env: SIQSIM_SERVE_QUEUE (per-client record
   queue, default 256), SIQSIM_SERVE_RESULT_CACHE (completed-cell
-  LRU, default 1024), SIQSIM_SERVE_JOBS.
+  LRU, default 1024), SIQSIM_SERVE_FANOUT_MS (docs/ENVIRONMENT.md).
 
 The merge of N shard directories is byte-identical to the same spec
 run unsharded — both are canonical exports of the same pure function.

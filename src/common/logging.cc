@@ -6,17 +6,6 @@
 namespace siq
 {
 
-namespace
-{
-bool quietMode = false;
-} // namespace
-
-void
-setQuiet(bool quiet)
-{
-    quietMode = quiet;
-}
-
 namespace detail
 {
 
@@ -37,15 +26,13 @@ fatalImpl(const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (!quietMode)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 void
 informImpl(const std::string &msg)
 {
-    if (!quietMode)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
+    std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 } // namespace detail

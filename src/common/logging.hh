@@ -80,9 +80,6 @@ inform(Args &&...args)
     detail::informImpl(detail::concat(std::forward<Args>(args)...));
 }
 
-/** Silence or restore warn()/inform() output (used by tests/benches). */
-void setQuiet(bool quiet);
-
 } // namespace siq
 
 /**

@@ -12,9 +12,9 @@
  * stream*, never a process exit and never an aborted sibling request.
  * The ingestion boundary — spec JSON parsing, workload-spec
  * validation, environment knobs — therefore exposes Result-returning
- * entry points (tryReadSpecJson, WorkloadSpec::tryParse, the
- * parse*Env helpers); the historical fatal()-style wrappers remain as
- * one-liners on top for callers that want fail-fast behaviour.
+ * entry points (tryReadSpecJson, ServeEngine::optionsFromEnv); the
+ * historical fatal()-style wrappers remain as one-liners on top for
+ * callers that want fail-fast behaviour.
  */
 
 #ifndef SIQ_COMMON_RESULT_HH

@@ -2,9 +2,6 @@
 
 #include <array>
 #include <cmath>
-#include <ostream>
-
-#include "common/logging.hh"
 
 namespace siq::stats
 {
@@ -66,98 +63,6 @@ RunningStats::reset()
     n = 0;
     _mean = 0.0;
     m2 = 0.0;
-}
-
-void
-Distribution::init(double lo_, double hi_, std::size_t buckets)
-{
-    SIQ_ASSERT(hi_ > lo_ && buckets > 0, "bad distribution shape");
-    lo = lo_;
-    hi = hi_;
-    width = (hi - lo) / static_cast<double>(buckets);
-    counts.assign(buckets, 0);
-    underflow = overflow = 0;
-    avg.reset();
-}
-
-void
-Distribution::sample(double v)
-{
-    avg.sample(v);
-    if (v < lo) {
-        underflow++;
-    } else if (v >= hi) {
-        overflow++;
-    } else {
-        auto idx = static_cast<std::size_t>((v - lo) / width);
-        if (idx >= counts.size())
-            idx = counts.size() - 1;
-        counts[idx]++;
-    }
-}
-
-void
-Distribution::reset()
-{
-    for (auto &c : counts)
-        c = 0;
-    underflow = overflow = 0;
-    avg.reset();
-}
-
-double
-Distribution::fractionBelow(double x) const
-{
-    if (avg.count() == 0)
-        return 0.0;
-    std::uint64_t below = underflow;
-    for (std::size_t i = 0; i < counts.size(); i++) {
-        const double bucket_hi = lo + width * static_cast<double>(i + 1);
-        if (bucket_hi <= x)
-            below += counts[i];
-    }
-    return static_cast<double>(below) /
-           static_cast<double>(avg.count());
-}
-
-void
-Group::addScalar(const std::string &name, Scalar *s)
-{
-    scalars[name] = s;
-}
-
-void
-Group::addAverage(const std::string &name, Average *a)
-{
-    averages[name] = a;
-}
-
-void
-Group::addDistribution(const std::string &name, Distribution *d)
-{
-    distributions[name] = d;
-}
-
-void
-Group::resetAll()
-{
-    for (auto &[n, s] : scalars)
-        s->reset();
-    for (auto &[n, a] : averages)
-        a->reset();
-    for (auto &[n, d] : distributions)
-        d->reset();
-}
-
-void
-Group::dump(std::ostream &os) const
-{
-    for (const auto &[n, s] : scalars)
-        os << _name << '.' << n << ' ' << s->value() << '\n';
-    for (const auto &[n, a] : averages)
-        os << _name << '.' << n << ' ' << a->mean() << '\n';
-    for (const auto &[n, d] : distributions)
-        os << _name << '.' << n << ".mean " << d->mean() << '\n';
 }
 
 } // namespace siq::stats

@@ -1,18 +1,15 @@
 /**
  * @file
- * Lightweight statistics package: named scalar counters, averages and
- * distributions grouped per component, with reset support so that a
- * warm-up phase can be excluded from measurement (as the paper does).
+ * Lightweight statistics package: scalar event counters with reset
+ * support, so that a warm-up phase can be excluded from measurement
+ * (as the paper does), and the mean/variance accumulator that folds
+ * replicated runs.
  */
 
 #ifndef SIQ_COMMON_STATS_HH
 #define SIQ_COMMON_STATS_HH
 
 #include <cstdint>
-#include <iosfwd>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace siq::stats
 {
@@ -37,33 +34,6 @@ class Scalar
 
   private:
     std::uint64_t _value = 0;
-};
-
-/** A running sum/count pair producing a mean. */
-class Average
-{
-  public:
-    void
-    sample(double v)
-    {
-        _sum += v;
-        _count += 1;
-    }
-
-    double mean() const { return _count ? _sum / _count : 0.0; }
-    double sum() const { return _sum; }
-    std::uint64_t count() const { return _count; }
-
-    void
-    reset()
-    {
-        _sum = 0.0;
-        _count = 0;
-    }
-
-  private:
-    double _sum = 0.0;
-    std::uint64_t _count = 0;
 };
 
 /**
@@ -95,65 +65,6 @@ class RunningStats
     std::uint64_t n = 0;
     double _mean = 0.0;
     double m2 = 0.0; ///< running sum of squared deviations
-};
-
-/** A bucketed histogram over [lo, hi) with fixed-width buckets. */
-class Distribution
-{
-  public:
-    Distribution() = default;
-
-    Distribution(double lo, double hi, std::size_t buckets)
-    {
-        init(lo, hi, buckets);
-    }
-
-    void init(double lo, double hi, std::size_t buckets);
-    void sample(double v);
-    void reset();
-
-    double mean() const { return avg.mean(); }
-    std::uint64_t count() const { return avg.count(); }
-    /** Fraction of samples strictly below x. */
-    double fractionBelow(double x) const;
-    const std::vector<std::uint64_t> &buckets() const { return counts; }
-
-  private:
-    double lo = 0.0;
-    double hi = 1.0;
-    double width = 1.0;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t underflow = 0;
-    std::uint64_t overflow = 0;
-    Average avg;
-};
-
-/**
- * A named collection of statistics. Components own a Group, register
- * their stats into it, and dump() emits "group.stat value" lines.
- */
-class Group
-{
-  public:
-    explicit Group(std::string name) : _name(std::move(name)) {}
-
-    void addScalar(const std::string &name, Scalar *s);
-    void addAverage(const std::string &name, Average *a);
-    void addDistribution(const std::string &name, Distribution *d);
-
-    /** Zero every registered stat (end of warm-up). */
-    void resetAll();
-
-    /** Write "name.stat value" lines to os. */
-    void dump(std::ostream &os) const;
-
-    const std::string &name() const { return _name; }
-
-  private:
-    std::string _name;
-    std::map<std::string, Scalar *> scalars;
-    std::map<std::string, Average *> averages;
-    std::map<std::string, Distribution *> distributions;
 };
 
 } // namespace siq::stats

@@ -32,6 +32,7 @@
 #ifndef SIQ_COMPILER_PASS_HH
 #define SIQ_COMPILER_PASS_HH
 
+#include <compare>
 #include <cstddef>
 #include <vector>
 
@@ -74,6 +75,13 @@ struct CompilerConfig
      * paper blames for gcc's residual IPC loss.
      */
     int maxLoopPaths = 24;
+
+    /** Field-by-field order. It keys the sweep engine's annotated-
+     *  program cache, so every knob added here takes part in the key.
+     *  loopSlack makes the order a partial_ordering in type only: it
+     *  is never NaN (specs do not expose it and the engine keeps its
+     *  default), so the ordering is total. */
+    auto operator<=>(const CompilerConfig &) const = default;
 };
 
 /** Per-procedure analysis products (exposed for tests/examples). */

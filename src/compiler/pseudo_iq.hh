@@ -35,6 +35,7 @@
 #define SIQ_COMPILER_PSEUDO_IQ_HH
 
 #include <array>
+#include <compare>
 #include <limits>
 #include <vector>
 
@@ -65,6 +66,8 @@ struct PseudoIqConfig
     };
     /** Loads are assumed to hit (paper §4.2); this is their latency. */
     int l1dHitLatency = 2;
+
+    auto operator<=>(const PseudoIqConfig &) const = default;
 };
 
 /** One instruction as the pseudo IQ sees it. */

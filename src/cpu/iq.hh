@@ -145,9 +145,7 @@ class IssueQueue
      *  cycle (tickStats) and per broadcast (wakeup). */
     int poweredBanks() const { return poweredBankCount; }
     int headSlot() const { return head; }
-    int tailSlot() const { return tail; }
     int newHeadSlot() const { return newHead; }
-    bool slotValid(int slot) const { return slots[slot].valid; }
     /// @}
 
     /** Per-cycle stats accumulation (call once per cycle). */

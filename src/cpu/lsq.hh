@@ -66,12 +66,6 @@ class Lsq
     /** Squash the @p n youngest entries (wrong-path recovery). */
     void squashTail(int n);
 
-    /// @name Store population (squash-recovery invariant tests).
-    /// @{
-    int storeCount() const { return numStores; }
-    int pendingStoreCount() const { return pendingStores; }
-    /// @}
-
   private:
     struct Entry
     {

@@ -79,10 +79,6 @@ class ExecContext
             r >= fpRegBase ? r - fpRegBase : r)];
     }
     std::int64_t readMem(std::uint64_t wordAddr) const;
-    /** Current position (proc, block, instIdx). */
-    int curProc() const { return proc; }
-    int curBlock() const { return block; }
-    int curInst() const { return instIdx; }
     std::uint64_t callDepth() const { return stack.size(); }
     /// @}
 

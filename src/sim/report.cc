@@ -215,19 +215,6 @@ toJson(const RunResult &result)
     return os.str();
 }
 
-std::string
-toJson(const PowerComparison &cmp)
-{
-    std::ostringstream os;
-    os << "{\"iqDynamicSaving\":" << fmtDouble(cmp.iqDynamicSaving)
-       << ",\"iqStaticSaving\":" << fmtDouble(cmp.iqStaticSaving)
-       << ",\"rfDynamicSaving\":" << fmtDouble(cmp.rfDynamicSaving)
-       << ",\"rfStaticSaving\":" << fmtDouble(cmp.rfStaticSaving)
-       << ",\"nonEmptySaving\":" << fmtDouble(cmp.nonEmptySaving)
-       << "}";
-    return os.str();
-}
-
 void
 writeJson(std::ostream &os, const SweepResult &result)
 {

@@ -834,11 +834,6 @@ ServeEngine::optionsFromEnv()
         return Result<std::size_t>::ok(static_cast<std::size_t>(n));
     };
 
-    auto jobs = readSize("SIQSIM_SERVE_JOBS", 0, 0);
-    if (!jobs)
-        return Result<Options>::error(jobs.error());
-    opts.jobs = static_cast<int>(jobs.value());
-
     auto queue = readSize("SIQSIM_SERVE_QUEUE", 256, 1);
     if (!queue)
         return Result<Options>::error(queue.error());

@@ -99,9 +99,8 @@ class ServeEngine
         std::size_t fanoutWaitMs = 10000;
     };
 
-    /** Options from SIQSIM_SERVE_JOBS / SIQSIM_SERVE_QUEUE /
-     *  SIQSIM_SERVE_RESULT_CACHE / SIQSIM_SERVE_FANOUT_MS
-     *  (validated up front — a daemon
+    /** Options from SIQSIM_SERVE_QUEUE / SIQSIM_SERVE_RESULT_CACHE /
+     *  SIQSIM_SERVE_FANOUT_MS (validated up front — a daemon
      *  should refuse a malformed environment at startup, not die on
      *  request one). */
     static Result<Options> optionsFromEnv();

@@ -2,12 +2,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <compare>
 #include <exception>
 #include <future>
+#include <map>
 #include <mutex>
-#include <sstream>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.hh"
@@ -22,38 +22,24 @@ namespace siq::sim
 namespace
 {
 
-std::string
-workloadKey(const std::string &benchmark,
-            const workloads::WorkloadParams &wp)
+/** What a generated workload depends on. */
+struct WorkloadKey
 {
-    std::ostringstream os;
-    os << benchmark << '|' << wp.scale << '|' << wp.repDivisor << '|'
-       << wp.seed;
-    return os.str();
-}
+    std::string benchmark;
+    workloads::WorkloadParams params;
 
-/** Serialize every knob that changes the annotation output. */
-std::string
-compileKey(const std::string &wkey,
-           const compiler::CompilerConfig &cc)
+    auto operator<=>(const WorkloadKey &) const = default;
+};
+
+/** What an annotated program depends on: its workload and every
+ *  compiler knob (CompilerConfig's own ordering). */
+struct CompileKey
 {
-    std::ostringstream os;
-    // full precision: configs differing in any loopSlack bit must
-    // not collide into one cached annotation
-    os.precision(17);
-    os << wkey << "|scheme=" << static_cast<int>(cc.scheme)
-       << "|interproc=" << cc.interprocFu
-       << "|elide=" << cc.elideRedundant << "|min=" << cc.minHint
-       << "|unroll=" << cc.unrollFactor << "|slack=" << cc.loopSlack
-       << "|paths=" << cc.maxLoopPaths
-       << "|iw=" << cc.machine.issueWidth
-       << "|dw=" << cc.machine.dispatchWidth
-       << "|iq=" << cc.machine.iqSize
-       << "|l1d=" << cc.machine.l1dHitLatency << "|fu=";
-    for (int n : cc.machine.fuCounts)
-        os << n << ',';
-    return os.str();
-}
+    WorkloadKey workload;
+    compiler::CompilerConfig config;
+
+    auto operator<=>(const CompileKey &) const = default;
+};
 
 /** A cached program plus its build metadata. */
 struct CachedProgram
@@ -69,11 +55,12 @@ struct CachedProgram
  * hit. Build/hit counting happens under the map lock so the totals
  * are exact.
  */
+template <typename Key>
 class ProgramCache
 {
   public:
     CachedProgram
-    get(const std::string &key,
+    get(const Key &key,
         const std::function<CachedProgram()> &build,
         std::atomic<std::uint64_t> &builds,
         std::atomic<std::uint64_t> &hits)
@@ -115,8 +102,7 @@ class ProgramCache
 
   private:
     std::mutex mu;
-    std::unordered_map<std::string, std::shared_future<CachedProgram>>
-        map;
+    std::map<Key, std::shared_future<CachedProgram>> map;
 };
 
 MetricAggregate
@@ -163,8 +149,8 @@ aggregateReplicas(const RunResult *reps, std::size_t n)
 struct ExperimentRunner::Impl
 {
     int defaultJobs;
-    ProgramCache workloads;
-    ProgramCache compiled;
+    ProgramCache<WorkloadKey> workloads;
+    ProgramCache<CompileKey> compiled;
     std::atomic<std::uint64_t> workloadBuilds{0};
     std::atomic<std::uint64_t> workloadHits{0};
     std::atomic<std::uint64_t> compileBuilds{0};
@@ -179,7 +165,7 @@ ExperimentRunner::Impl::runCell(const CellKey &key,
                                 const TechniqueDef &def,
                                 const RunConfig &cfg)
 {
-    const std::string wkey = workloadKey(key.benchmark, cfg.workload);
+    const WorkloadKey wkey{key.benchmark, cfg.workload};
     const CachedProgram raw = workloads.get(
         wkey,
         [&] {
@@ -199,7 +185,7 @@ ExperimentRunner::Impl::runCell(const CellKey &key,
     if (def.compilerConfig) {
         if (const auto cc = def.compilerConfig(cfg)) {
             toRun = compiled.get(
-                compileKey(wkey, *cc),
+                CompileKey{wkey, *cc},
                 [&] {
                     CachedProgram built;
                     Program annotated = *raw.prog;

@@ -57,16 +57,6 @@ ProgramBuilder::switchTo(int blockId)
 }
 
 void
-ProgramBuilder::switchToProc(int procId, int blockId)
-{
-    SIQ_ASSERT(procId >= 0 &&
-               procId < static_cast<int>(prog.procs.size()),
-               "bad proc id");
-    curProc = procId;
-    switchTo(blockId);
-}
-
-void
 ProgramBuilder::emit(const StaticInst &si)
 {
     BasicBlock &block = cur();

@@ -34,9 +34,6 @@ class ProgramBuilder
     int newBlock();
     /** Move the emission cursor to @p blockId in the current proc. */
     void switchTo(int blockId);
-    void switchToProc(int procId, int blockId);
-    int currentProc() const { return curProc; }
-    int currentBlock() const { return curBlock; }
     /// @}
 
     /** Append an instruction to the current block. */

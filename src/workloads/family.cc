@@ -403,18 +403,6 @@ canonicalWorkload(const std::string &text)
     return specText(WorkloadSpec::parse(text));
 }
 
-Result<WorkloadSpec>
-WorkloadSpec::tryParse(const std::string &text)
-{
-    return asResult([&] { return parse(text); });
-}
-
-Result<std::string>
-tryCanonicalWorkload(const std::string &text)
-{
-    return asResult([&] { return canonicalWorkload(text); });
-}
-
 Program
 generate(const WorkloadSpec &spec, const WorkloadParams &params)
 {

@@ -42,7 +42,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/result.hh"
 #include "workloads/workloads.hh"
 
 namespace siq::workloads
@@ -116,11 +115,6 @@ struct WorkloadSpec
      */
     static WorkloadSpec parse(const std::string &text);
 
-    /** Recoverable parse(): validation failures come back as an
-     *  error Result carrying the same message fatal() would have
-     *  raised. For untrusted request bytes (sim/serve.cc). */
-    static Result<WorkloadSpec> tryParse(const std::string &text);
-
     /** The canonical string form (see file comment). Fatal when the
      *  spec does not validate against the registry. */
     std::string canonical() const;
@@ -189,9 +183,6 @@ std::vector<std::string> familyNames();
 /** parse(text).canonical() — the one-call validator/normalizer the
  *  engine and CLI apply to every benchmark-axis entry. */
 std::string canonicalWorkload(const std::string &text);
-
-/** Recoverable canonicalWorkload for untrusted inputs. */
-Result<std::string> tryCanonicalWorkload(const std::string &text);
 
 /** Generate the program for a parsed workload spec. */
 Program generate(const WorkloadSpec &spec, const WorkloadParams &params);

@@ -27,6 +27,7 @@
 #define SIQ_WORKLOADS_WORKLOADS_HH
 
 #include <algorithm>
+#include <compare>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -65,6 +66,8 @@ struct WorkloadParams
         return static_cast<int>(
             std::clamp<std::int64_t>(r, 1, std::numeric_limits<int>::max()));
     }
+
+    auto operator<=>(const WorkloadParams &) const = default;
 };
 
 /** The eleven SPECint benchmark names, in the paper's figure order

@@ -47,16 +47,6 @@ TEST(Stats, ScalarCountsAndResets)
     EXPECT_EQ(s.value(), 0u);
 }
 
-TEST(Stats, AverageMean)
-{
-    stats::Average a;
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    a.sample(2.0);
-    a.sample(4.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 3.0);
-    EXPECT_EQ(a.count(), 2u);
-}
-
 TEST(RunningStats, EmptyAccumulatorIsAllZero)
 {
     stats::RunningStats w;
@@ -162,32 +152,6 @@ TEST(RunningStats, ResetClearsState)
     EXPECT_DOUBLE_EQ(w.mean(), 0.0);
     w.sample(9.0);
     EXPECT_DOUBLE_EQ(w.mean(), 9.0);
-}
-
-TEST(Stats, DistributionBucketsAndFraction)
-{
-    stats::Distribution d(0.0, 10.0, 10);
-    for (int i = 0; i < 10; i++)
-        d.sample(i + 0.5);
-    EXPECT_EQ(d.count(), 10u);
-    EXPECT_DOUBLE_EQ(d.fractionBelow(5.0), 0.5);
-    EXPECT_NEAR(d.mean(), 5.0, 1e-9);
-    d.sample(-1.0);
-    d.sample(100.0);
-    EXPECT_EQ(d.count(), 12u);
-}
-
-TEST(Stats, GroupDumpAndReset)
-{
-    stats::Group g("core");
-    stats::Scalar s;
-    s += 3;
-    g.addScalar("committed", &s);
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_EQ(os.str(), "core.committed 3\n");
-    g.resetAll();
-    EXPECT_EQ(s.value(), 0u);
 }
 
 TEST(Rng, DeterministicAcrossInstances)
